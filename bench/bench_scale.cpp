@@ -25,21 +25,11 @@
 //   bench_scale                 # full sweep incl. n=2000 + budget check
 //   bench_scale --quick         # CI mode: n ∈ {40, 200, 1000}
 //   bench_scale --n 500,1000    # override the sweep points
-//   bench_scale --engine wheel  # wheel|heap|parallel|both (default both)
-//   bench_scale --jobs 8        # worker count for --engine parallel
-//   bench_scale --metrics-out [path]   # BENCH_scale.json / BENCH_parallel.json
+//   bench_scale --metrics-out [path]   # BENCH_scale.json
 //
 // Gates (printed): engine-dispatch wheel ≥ 5× heap events/sec at n = 1000,
 // and the n = 2000 full-stack run (full mode) completes within the printed
 // wall-clock budget.
-//
-// --engine parallel switches to the kParallel evaluation: full-stack
-// wheel-vs-parallel agreement rows over the sweep points, then the parallel
-// dispatch gate — a timer-free compute-carrying schedule at n = 10000 (INIT
-// fan-out, 32-wide pseudo-random ECHO storm, ACK backwash, an iterated-hash
-// kernel per receipt) where kParallel with --jobs workers must reach ≥ 3×
-// the serial wheel's events/sec. Virtual-time results must stay identical;
-// the counters land in BENCH_parallel.json for the CI exact-compare.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -50,12 +40,9 @@
 #include <string>
 #include <vector>
 
-#include <thread>
-
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
-#include "crypto/sha256.hpp"
 #include "obs/pool.hpp"
 
 namespace {
@@ -94,8 +81,7 @@ struct PointResult {
   }
 };
 
-PointResult run_point(std::uint32_t n, sim::SimEngine engine,
-                      std::uint32_t jobs = 0) {
+PointResult run_point(std::uint32_t n, sim::SimEngine engine) {
   PointResult out;
   out.n = n;
   out.engine = engine;
@@ -113,7 +99,6 @@ PointResult run_point(std::uint32_t n, sim::SimEngine engine,
       bench::bench_config(n, 1, protocol::ChannelMode::kAccounted);
   cfg.t = 1;  // termination after t+2 = 3 rounds; n² fan-out dominates
   cfg.engine = engine;
-  cfg.jobs = jobs;
   sim::Testbed bed(cfg);
 
   Bytes payload = to_bytes("scale benchmark broadcast payload");
@@ -159,11 +144,6 @@ PointResult run_point(std::uint32_t n, sim::SimEngine engine,
                          : 0;
   obs::BufferPool::local().set_recycling(true);
   out.rss_kb = peak_rss_kb();
-  // Stamped only after the agreement-relevant numbers are read: window and
-  // steal counts are opt-in extras, never part of the equivalence surface.
-  if (engine == sim::SimEngine::kParallel) {
-    bed.simulator().publish_parallel_stats(*out.registry);
-  }
   return out;
 }
 
@@ -246,116 +226,10 @@ DispatchResult run_dispatch(std::uint32_t n, sim::SimEngine engine) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel dispatch: a timer-free, compute-carrying schedule for the
-// kParallel gate. Unlike run_dispatch (which isolates queue overhead), this
-// workload gives the worker lanes real per-event work so the conservative
-// windows have something to parallelize:
-//
-//   node 0 fans INIT to n−1 peers; each INIT receipt runs the hash kernel
-//   and ECHOes to kParFan pseudo-random peers; each ECHO receipt runs the
-//   kernel and ACKs its sender; each ACK receipt runs the kernel. All
-//   arrival jitter is a pure hash of (from, to, now) — no shared RNG, so
-//   workers draw no contended state — and the min delay equals the
-//   registered lookahead, keeping every emission outside its own window.
-//   Fan-out targets are hash-spread, so no node becomes a merge hotspot.
-
-constexpr std::uint32_t kParFan = 32;    // ECHOes per INIT receipt
-constexpr int kParKernelIters = 16;      // chained hashes per receipt
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-struct ParallelDispatchResult {
-  double wall_s = 0;
-  std::uint64_t events = 0;
-  SimTime end_time = 0;
-  sim::Simulator::ParallelStats pstats;
-
-  [[nodiscard]] double events_per_s() const {
-    return wall_s > 0 ? static_cast<double>(events) / wall_s : 0;
-  }
-};
-
-ParallelDispatchResult run_parallel_dispatch(std::uint32_t n,
-                                             sim::SimEngine engine,
-                                             std::uint32_t jobs) {
-  constexpr SimTime kBase = 500;           // min delay = lookahead
-  constexpr std::uint64_t kJitterBound = 501;
-
-  ParallelDispatchResult out;
-  obs::MetricsRegistry reg;
-  obs::MetricsRegistry::ScopedCurrent bind(reg);
-  sim::Simulator simulator(reg, engine);
-  simulator.set_jobs(jobs);
-  simulator.set_lookahead(kBase);
-
-  // Per-node accumulator: each slot is written only from its own node's
-  // events (one task lane per window), so worker writes never race.
-  std::vector<std::uint64_t> sink(n, 0);
-
-  auto arrival = [](NodeId from, NodeId to, SimTime now) {
-    const std::uint64_t h = mix64((std::uint64_t{from} << 40) ^
-                                  (std::uint64_t{to} << 20) ^
-                                  static_cast<std::uint64_t>(now));
-    return now + kBase + static_cast<SimTime>(h % kJitterBound);
-  };
-  auto kernel = [&sink](NodeId self, NodeId from) {
-    std::uint8_t buf[16];
-    store_le64(buf, (std::uint64_t{self} << 32) | from);
-    store_le64(buf + 8, sink[self]);
-    crypto::Sha256Digest d = crypto::Sha256::hash(ByteView(buf, sizeof buf));
-    for (int i = 1; i < kParKernelIters; ++i) {
-      d = crypto::Sha256::hash(ByteView(d.data(), d.size()));
-    }
-    sink[self] ^= load_le64(d.data());
-  };
-
-  std::uint32_t on_ack = simulator.add_delivery_handler(
-      [&kernel](sim::Delivery&& d) { kernel(d.to, d.from); });
-  std::uint32_t on_echo = simulator.add_delivery_handler(
-      [&](sim::Delivery&& d) {
-        kernel(d.to, d.from);
-        simulator.schedule_delivery(
-            arrival(d.to, d.from, simulator.now()), on_ack,
-            sim::Delivery{d.to, d.from, 0, {}, nullptr});
-      });
-  std::uint32_t on_init = simulator.add_delivery_handler(
-      [&](sim::Delivery&& d) {
-        const NodeId self = d.to;
-        kernel(self, d.from);
-        for (std::uint32_t i = 0; i < kParFan; ++i) {
-          const auto to = static_cast<NodeId>(
-              mix64(std::uint64_t{self} * kParFan + i) % n);
-          if (to == self) continue;
-          simulator.schedule_delivery(
-              arrival(self, to, simulator.now()), on_echo,
-              sim::Delivery{self, to, 0, {}, nullptr});
-        }
-      });
-
-  auto t0 = std::chrono::steady_clock::now();
-  for (NodeId to = 1; to < n; ++to) {
-    simulator.schedule_delivery(arrival(0, to, 0), on_init,
-                                sim::Delivery{0, to, 0, {}, nullptr});
-  }
-  simulator.run();
-  out.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  out.events = reg.counter("sim.events_fired").value();
-  out.end_time = simulator.now();
-  out.pstats = simulator.parallel_stats();
-  return out;
-}
-
 void print_row(const PointResult& r, double ratio) {
+  const char* engine = r.engine == sim::SimEngine::kHeap ? "heap" : "wheel";
   std::printf("%6u  %-6s %9.3f %12llu %12.0f %8.2fx %9llu %6u %7.1f %6.1f%% %8.1f  %s\n",
-              r.n, sim::engine_name(r.engine), r.wall_s,
+              r.n, engine, r.wall_s,
               static_cast<unsigned long long>(r.events), r.events_per_s(),
               ratio, static_cast<unsigned long long>(r.messages), r.rounds,
               r.virt_s, r.pool_hit_pct,
@@ -368,27 +242,9 @@ void print_row(const PointResult& r, double ratio) {
 int main(int argc, char** argv) {
   bench::ObsOptions obs_opts = bench::parse_obs(argc, argv, "scale");
   bool quick = false;
-  bool run_wheel = true;
-  bool run_heap = true;
-  bool run_parallel = false;
-  std::uint32_t jobs = 8;
   std::vector<std::uint32_t> ns_override;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      std::string which = argv[++i];
-      if (which == "parallel") {
-        run_parallel = true;
-        run_heap = false;
-      } else {
-        run_wheel = which != "heap";
-        run_heap = which != "wheel";
-      }
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      long v = std::strtol(argv[++i], nullptr, 10);
-      if (v > 0) jobs = static_cast<std::uint32_t>(v);
-    }
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
       for (const char* p = argv[++i]; *p != '\0';) {
         char* end = nullptr;
@@ -404,105 +260,6 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::uint32_t>{40, 200, 1000}
             : std::vector<std::uint32_t>{40, 200, 500, 1000, 2000};
   if (!ns_override.empty()) ns = ns_override;
-
-  if (run_parallel) {
-    std::printf("parallel engine: kParallel (jobs=%u) vs serial wheel, "
-                "accounted ERB broadcast, t=1\n", jobs);
-    std::printf("%6s  %-8s %9s %12s %12s %9s %9s %6s %7s %7s %8s\n", "n",
-                "engine", "wall_s", "events", "events/s", "vs wheel", "msgs",
-                "rnds", "virt_s", "pool", "rss_MB");
-    bool deterministic = true;
-    bool all_decided = true;
-    double fullstack_ratio = 0;
-    std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
-    for (std::uint32_t n : ns) {
-      PointResult wheel = run_point(n, sim::SimEngine::kWheel);
-      PointResult par = run_point(n, sim::SimEngine::kParallel, jobs);
-      all_decided = all_decided && wheel.decided && par.decided;
-      const double ratio = wheel.events_per_s() > 0
-                               ? par.events_per_s() / wheel.events_per_s()
-                               : 0;
-      fullstack_ratio = ratio;  // the largest-n head-to-head is the headline
-      const bool agree = wheel.events == par.events &&
-                         wheel.messages == par.messages &&
-                         wheel.rounds == par.rounds &&
-                         wheel.virt_s == par.virt_s;
-      deterministic = deterministic && agree;
-      print_row(wheel, 1.0);
-      print_row(par, ratio);
-      if (!agree) std::printf("        ^^ ENGINE MISMATCH at n=%u\n", n);
-      registries.push_back(std::move(wheel.registry));
-      registries.push_back(std::move(par.registry));
-    }
-
-    const std::uint32_t gate_n = 10000;
-    std::printf("\nparallel dispatch: n=%u INIT/ECHO/ACK schedule, "
-                "%d-hash kernel per receipt, fan-out %u\n",
-                gate_n, kParKernelIters, kParFan);
-    std::printf("%6s  %-8s %9s %12s %12s %9s\n", "n", "engine", "wall_s",
-                "events", "events/s", "vs wheel");
-    auto best_par = [gate_n](sim::SimEngine eng, std::uint32_t j) {
-      ParallelDispatchResult best = run_parallel_dispatch(gate_n, eng, j);
-      for (int rep = 1; rep < 3; ++rep) {
-        ParallelDispatchResult r = run_parallel_dispatch(gate_n, eng, j);
-        if (r.wall_s < best.wall_s) best = r;
-      }
-      return best;
-    };
-    ParallelDispatchResult dw = best_par(sim::SimEngine::kWheel, 1);
-    ParallelDispatchResult dp = best_par(sim::SimEngine::kParallel, jobs);
-    const double gate_ratio =
-        dw.events_per_s() > 0 ? dp.events_per_s() / dw.events_per_s() : 0;
-    const bool dispatch_agree =
-        dw.events == dp.events && dw.end_time == dp.end_time;
-    deterministic = deterministic && dispatch_agree;
-    std::printf("%6u  %-8s %9.3f %12llu %12.0f %9.2fx\n", gate_n, "wheel",
-                dw.wall_s, static_cast<unsigned long long>(dw.events),
-                dw.events_per_s(), 1.0);
-    std::printf("%6u  %-8s %9.3f %12llu %12.0f %9.2fx   (%llu windows, "
-                "%llu steals)\n",
-                gate_n, "parallel", dp.wall_s,
-                static_cast<unsigned long long>(dp.events),
-                dp.events_per_s(), gate_ratio,
-                static_cast<unsigned long long>(dp.pstats.windows),
-                static_cast<unsigned long long>(dp.pstats.steals));
-    if (!dispatch_agree) std::printf("        ^^ DISPATCH ENGINE MISMATCH\n");
-
-    std::printf("\nengine agreement (events/msgs/rounds/virtual time): %s\n",
-                deterministic ? "identical" : "MISMATCH");
-    std::printf(
-        "gate: parallel dispatch vs wheel at n=%u, jobs=%u = %.2fx "
-        "(target >= 3x): %s\n",
-        gate_n, jobs, gate_ratio,
-        gate_ratio >= 3.0 ? "target MET" : "target MISSED");
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw < jobs) {
-      std::printf(
-          "note: %u hardware threads for %u workers — the wall-clock gate "
-          "is meaningful on hosts with >= %u cores (CI release-perf)\n",
-          hw, jobs, jobs);
-    }
-    if (fullstack_ratio > 0) {
-      std::printf("full-stack ERB at n=%u = %.2fx vs wheel\n", ns.back(),
-                  fullstack_ratio);
-    }
-    if (!all_decided) std::printf("WARNING: some runs did not decide\n");
-
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::current();
-    for (const auto& r : registries) obs::merge_snapshot(reg, r->snapshot());
-    reg.gauge("bench.parallel_jobs").set(static_cast<std::int64_t>(jobs));
-    reg.gauge("bench.parallel_gate_ratio_x100")
-        .set(static_cast<std::int64_t>(gate_ratio * 100.0));
-    reg.gauge("bench.parallel_fullstack_ratio_x100")
-        .set(static_cast<std::int64_t>(fullstack_ratio * 100.0));
-    reg.gauge("bench.parallel_deterministic").set(deterministic ? 1 : 0);
-    reg.gauge("bench.parallel_dispatch_windows")
-        .set(static_cast<std::int64_t>(dp.pstats.windows));
-    reg.gauge("bench.parallel_peak_rss_kb")
-        .set(static_cast<std::int64_t>(peak_rss_kb()));
-    bench::finish_obs(obs_opts);
-    return deterministic && all_decided ? 0 : 1;
-  }
 
   // The reference heap is quadratic-unfriendly past n=1000; the gate only
   // needs the head-to-head there.
@@ -520,41 +277,34 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
 
   for (std::uint32_t n : ns) {
-    PointResult wheel;
-    if (run_wheel) {
-      wheel = run_point(n, sim::SimEngine::kWheel);
-      all_decided = all_decided && wheel.decided;
-      if (n == 2000) wall_2000 = wheel.wall_s;
-    }
+    PointResult wheel = run_point(n, sim::SimEngine::kWheel);
+    all_decided = all_decided && wheel.decided;
+    if (n == 2000) wall_2000 = wheel.wall_s;
 
-    if (run_heap && n <= heap_max_n) {
+    if (n <= heap_max_n) {
       PointResult heap = run_point(n, sim::SimEngine::kHeap);
       all_decided = all_decided && heap.decided;
-      if (run_wheel) {
-        double ratio = heap.events_per_s() > 0
-                           ? wheel.events_per_s() / heap.events_per_s()
-                           : 0;
-        if (n == 1000) gate_ratio = ratio;
-        bool agree = wheel.events == heap.events &&
-                     wheel.messages == heap.messages &&
-                     wheel.rounds == heap.rounds &&
-                     wheel.virt_s == heap.virt_s;
-        deterministic = deterministic && agree;
-        print_row(wheel, ratio);
-        if (!agree) std::printf("        ^^ ENGINE MISMATCH at n=%u\n", n);
-      }
+      double ratio = heap.events_per_s() > 0
+                         ? wheel.events_per_s() / heap.events_per_s()
+                         : 0;
+      if (n == 1000) gate_ratio = ratio;
+      bool agree = wheel.events == heap.events &&
+                   wheel.messages == heap.messages &&
+                   wheel.rounds == heap.rounds && wheel.virt_s == heap.virt_s;
+      deterministic = deterministic && agree;
+      print_row(wheel, ratio);
+      if (!agree) std::printf("        ^^ ENGINE MISMATCH at n=%u\n", n);
       print_row(heap, 1.0);
       registries.push_back(std::move(heap.registry));
-    } else if (run_wheel) {
+    } else {
       print_row(wheel, 0.0);
     }
-    if (run_wheel) registries.push_back(std::move(wheel.registry));
+    registries.push_back(std::move(wheel.registry));
   }
 
   double dispatch_ratio = 0;
   const std::uint32_t gate_n = 1000;
-  if (run_wheel && run_heap &&
-      std::find(ns.begin(), ns.end(), gate_n) != ns.end()) {
+  if (std::find(ns.begin(), ns.end(), gate_n) != ns.end()) {
     std::printf("\nengine dispatch: same n=%u round event schedule, no-op "
                 "receiver (engine isolated)\n", gate_n);
     std::printf("%6s  %-6s %9s %12s %12s %8s\n", "n", "engine", "wall_s",

@@ -17,15 +17,12 @@
 //     must be ≤ 2× msgs/node at the smallest — a 10× n increase may buy at
 //     most one committee-size increment, not proportional traffic.
 //  3. Engine agreement: the epoch digest at the cross-check size must be
-//     byte-identical across the timer-wheel, reference-heap, and parallel
-//     (Δ-lockstep) engines.
+//     byte-identical across the timer-wheel and reference-heap engines.
 //
 //   bench_shard                 # full sweep: n ∈ {10000, 100000}
 //   bench_shard --quick         # CI mode: n ∈ {2000, 10000}
 //   bench_shard --n 500,5000    # override the sweep points
 //   bench_shard --epochs 2      # chained epochs per point (default 1)
-//   bench_shard --engine wheel  # wheel|parallel sweep engine (default wheel)
-//   bench_shard --jobs 8        # worker count for --engine parallel
 //   bench_shard --metrics-out [path]   # BENCH_shard.json
 //
 // Exit 0 iff every point's oracles pass, the engines agree, and the
@@ -82,7 +79,7 @@ struct PointResult {
 };
 
 PointResult run_point(std::uint32_t n, std::uint64_t epochs,
-                      sim::SimEngine engine, std::uint32_t jobs = 0) {
+                      sim::SimEngine engine) {
   PointResult out;
   out.n = n;
   out.registry = std::make_unique<obs::MetricsRegistry>();
@@ -92,7 +89,6 @@ PointResult run_point(std::uint32_t n, std::uint64_t epochs,
   sim::TestbedConfig cfg =
       bench::bench_config(n, 1, protocol::ChannelMode::kAccounted);
   cfg.engine = engine;
-  cfg.jobs = jobs;
   // Sharded deployment: no pre-wired clique. Accounted channels need no
   // per-peer link state, so the bootstrap stays O(n) and FIFO slots grow
   // with pairs that actually talk (committee-mates + tree reps).
@@ -143,23 +139,12 @@ int main(int argc, char** argv) {
   bench::ObsOptions obs_opts = bench::parse_obs(argc, argv, "shard");
   bool quick = false;
   std::uint64_t epochs = 1;
-  sim::SimEngine sweep_engine = sim::SimEngine::kWheel;
-  std::uint32_t jobs = 8;
   std::vector<std::uint32_t> ns_override;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc) {
       long v = std::atol(argv[++i]);
       if (v > 0) epochs = static_cast<std::uint64_t>(v);
-    }
-    if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      if (std::strcmp(argv[++i], "parallel") == 0) {
-        sweep_engine = sim::SimEngine::kParallel;
-      }
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      long v = std::strtol(argv[++i], nullptr, 10);
-      if (v > 0) jobs = static_cast<std::uint32_t>(v);
     }
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
       for (const char* p = argv[++i]; *p != '\0';) {
@@ -187,10 +172,8 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
   std::vector<PointResult> points;
-  const std::uint32_t sweep_jobs =
-      sweep_engine == sim::SimEngine::kParallel ? jobs : 0;
   for (std::uint32_t n : ns) {
-    PointResult r = run_point(n, epochs, sweep_engine, sweep_jobs);
+    PointResult r = run_point(n, epochs, sim::SimEngine::kWheel);
     all_ok = all_ok && r.ok;
     print_row(r);
     registries.push_back(std::move(r.registry));
@@ -204,20 +187,15 @@ int main(int argc, char** argv) {
   const std::uint32_t check_n = std::min<std::uint32_t>(ns.front(), 2000);
   PointResult wheel_chk = run_point(check_n, epochs, sim::SimEngine::kWheel);
   PointResult heap_chk = run_point(check_n, epochs, sim::SimEngine::kHeap);
-  PointResult par_chk =
-      run_point(check_n, epochs, sim::SimEngine::kParallel, jobs);
-  auto agrees = [&wheel_chk](const PointResult& other) {
-    return other.ok && wheel_chk.digest == other.digest &&
-           wheel_chk.messages == other.messages &&
-           wheel_chk.rounds == other.rounds;
-  };
-  const bool deterministic = wheel_chk.ok && !wheel_chk.digest.empty() &&
-                             agrees(heap_chk) && agrees(par_chk);
+  const bool deterministic =
+      wheel_chk.ok && !wheel_chk.digest.empty() && heap_chk.ok &&
+      wheel_chk.digest == heap_chk.digest &&
+      wheel_chk.messages == heap_chk.messages &&
+      wheel_chk.rounds == heap_chk.rounds;
   registries.push_back(std::move(wheel_chk.registry));
   std::printf(
-      "\nengine agreement at n=%u, wheel vs heap vs parallel(jobs=%u) "
-      "(digest/msgs/rounds): %s\n",
-      check_n, jobs, deterministic ? "identical" : "MISMATCH");
+      "\nengine agreement at n=%u, wheel vs heap (digest/msgs/rounds): %s\n",
+      check_n, deterministic ? "identical" : "MISMATCH");
 
   // Sublinearity gate: per-node message cost may roughly track the
   // committee-size increment (log n), never the 10× node-count jump.

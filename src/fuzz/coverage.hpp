@@ -12,8 +12,8 @@
 //
 // Everything a feature is derived from (metrics snapshot, outcome string,
 // violated-oracle set, the schedule itself) is already byte-identical
-// across same-seed runs and across the kWheel/kHeap/kParallel engines, so
-// the bitmap inherits that determinism — CI compares maps exactly, and the
+// across same-seed runs and across the kWheel/kHeap engines, so the bitmap
+// inherits that determinism — CI compares maps exactly, and the
 // corpus-distillation pass (tools/sgxp2p-corpus) can reproduce a
 // campaign's aggregate map from its schedules alone.
 //

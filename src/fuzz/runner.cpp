@@ -136,12 +136,6 @@ struct RunContext {
     cfg.net.max_jitter = milliseconds(100);
     cfg.registry = &registry;
     cfg.engine = opts.engine;
-    // Replay files stamp expect_digest against canonical-order execution;
-    // jobs comes from RunOptions (default 1) rather than the ambient
-    // SGXP2P_SIM_JOBS, so a schedule is byte-stable regardless of the
-    // process environment. The parallel engine's canonical-order merge
-    // makes any explicit jobs > 1 equally byte-stable.
-    cfg.jobs = std::max(1u, opts.jobs);
     return cfg;
   }
 

@@ -28,15 +28,9 @@ struct RunOptions {
   /// does not touch metrics, so digests are unaffected either way, but the
   /// ring costs memory on big campaigns.
   bool check_causal = false;
-  /// Event engine driving the run. kDefault keeps the testbed's resolution
-  /// (SGXP2P_SIM_ENGINE env, else the wheel) — safe because digests and
-  /// coverage maps are engine-identical; tests pin kWheel/kHeap/kParallel
-  /// explicitly to prove exactly that.
-  sim::SimEngine engine = sim::SimEngine::kDefault;
-  /// Worker count for kParallel (ignored by the serial engines). >1 is
-  /// safe: the parallel engine replays side effects in canonical order, so
-  /// reports stay byte-identical (test_coverage.cpp enforces this).
-  std::uint32_t jobs = 1;
+  /// Event engine driving the run. Digests and coverage maps are
+  /// engine-identical; tests run kHeap explicitly to prove exactly that.
+  sim::SimEngine engine = sim::SimEngine::kWheel;
 };
 
 [[nodiscard]] RunReport run_schedule(const Schedule& schedule,

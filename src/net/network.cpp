@@ -26,12 +26,7 @@ Network::Network(Simulator& simulator, NetworkConfig config,
       size_hist_(registry.histogram(
           "net.msg_bytes", {32, 64, 128, 256, 512, 1024, 4096, 16384})),
       delay_hist_(registry.histogram(
-          "net.delay_ms", {100, 200, 300, 400, 500, 750, 1000, 2000, 5000})) {
-  // Register this network's causality floor with the parallel engine: no
-  // send can arrive sooner than base_delay after it leaves, so windows of
-  // that width contain no intra-window causality.
-  simulator.set_lookahead(config_.base_delay);
-}
+          "net.delay_ms", {100, 200, 300, 400, 500, 750, 1000, 2000, 5000})) {}
 
 Network::Sink& Network::sink_slot(NodeId id) {
   if (id < kMaxTableIds) {
@@ -70,16 +65,6 @@ auto sparse_lower_bound(std::vector<std::pair<NodeId, SimTime>>& sparse,
 }  // namespace
 
 void Network::detach(NodeId id) {
-  if (simulator_->in_worker()) {
-    // Deferred to the merge phase: worker threads read the sink and FIFO
-    // tables concurrently, so the purge must never run mid-window (a
-    // half-purged adaptive row is a data race and a torn read). Semantics:
-    // a detach issued from a delivery handler takes effect at its canonical
-    // merge position — deliveries already executing in the same window
-    // still see the node attached.
-    simulator_->defer_effect([this, id] { detach(id); });
-    return;
-  }
   if (id < sinks_dense_.size()) sinks_dense_[id] = Sink{};
   sinks_far_.erase(id);
   if (id < fifo_rows_.size()) fifo_rows_[id] = FifoRow{};
@@ -239,24 +224,6 @@ Network::Routed Network::route(NodeId from, NodeId to, std::size_t bytes,
 }
 
 void Network::send(NodeId from, NodeId to, Bytes blob) {
-  if (simulator_->in_worker()) {
-    // Capture the send and replay it at the item's canonical merge position
-    // through this very function (in_worker() is false on the merge thread):
-    // the jitter RNG draw, FIFO stamp, bandwidth serialization, metrics, and
-    // the `net send` trace all happen in serial order, byte-identical to
-    // kWheel. The worker-side transition charge and ambient cause are part
-    // of the capture — they are per-event state the merge must restore.
-    simulator_->defer_effect(
-        [this, from, to, blob = std::move(blob),
-         penalty = simulator_->pending_charge(),
-         cause = obs::TraceRecorder::global().current_cause()]() mutable {
-          obs::TraceRecorder::AmbientGuard causal(cause);
-          simulator_->set_replay_charge(penalty);
-          send(from, to, std::move(blob));
-          simulator_->set_replay_charge(SimDuration{0});
-        });
-    return;
-  }
   if (!attached(from) || !attached(to) || from == to) return;
   SimTime now = simulator_->now();
   if (!blocked_.empty() && link_blocked(from, to)) {
@@ -272,20 +239,6 @@ void Network::send(NodeId from, NodeId to, Bytes blob) {
 
 void Network::multicast(NodeId from, const std::vector<NodeId>& group,
                         Bytes payload) {
-  if (simulator_->in_worker()) {
-    // One deferred effect for the whole fan-out keeps the per-target route
-    // order (and so the jitter draws) exactly as a serial run makes them.
-    simulator_->defer_effect(
-        [this, from, group, payload = std::move(payload),
-         penalty = simulator_->pending_charge(),
-         cause = obs::TraceRecorder::global().current_cause()]() mutable {
-          obs::TraceRecorder::AmbientGuard causal(cause);
-          simulator_->set_replay_charge(penalty);
-          multicast(from, group, std::move(payload));
-          simulator_->set_replay_charge(SimDuration{0});
-        });
-    return;
-  }
   if (!attached(from)) return;
   auto shared = std::make_shared<const Bytes>(std::move(payload));
   for (NodeId to : group) {

@@ -17,15 +17,6 @@
 // An optional shared-link bandwidth model reproduces the paper's testbed
 // artifact (40 machines behind one 128 MB/s link): when enabled, messages
 // additionally queue on a global serialization resource.
-//
-// Parallel engine (SimEngine::kParallel) interplay: the constructor
-// registers base_delay as the simulator's conservative lookahead, and
-// send/multicast/detach issued from a worker thread are captured and
-// replayed at the event's canonical merge position through the normal
-// serial path — so the shared jitter RNG, per-pair FIFO stamps, bandwidth
-// serialization, and the sink/FIFO table mutations all stay single-threaded
-// and byte-identical to a serial run. Workers only ever *read* the sink
-// tables (to dispatch deliveries), which is why detach must defer its purge.
 #pragma once
 
 #include <cstdint>

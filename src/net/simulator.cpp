@@ -2,69 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
-
-#include "common/check.hpp"
 
 namespace sgxp2p::sim {
 
-namespace detail {
-
-/// Per-thread worker context for one conservative window. Doubles as the
-/// TraceRecorder::WorkerSink buffering trace events into the current item's
-/// effect log, so traces interleave with sends in exact emission order.
-struct SimWorkerCtx final : obs::TraceRecorder::WorkerSink {
-  Simulator* sim = nullptr;
-  SimTime now = 0;                 // timestamp of the item being executed
-  SimDuration penalty{0};          // per-item enclave-transition charge
-  NodeId node = kNoNode;           // owning node of the item being executed
-  std::vector<std::function<void()>>* effects = nullptr;
-  std::uint64_t steals = 0;        // cumulative across windows
-  std::exception_ptr error;
-  std::size_t error_idx = 0;       // window index of the throwing item
-
-  std::uint64_t record(const obs::TraceEvent& ev) override {
-    auto& tr = obs::TraceRecorder::global();
-    const std::uint64_t token = tr.acquire_token();
-    effects->push_back(
-        [ev, token] { obs::TraceRecorder::global().replay(ev, token); });
-    return token;
-  }
-};
-
-}  // namespace detail
-
-namespace {
-// The executing worker's context, or null on any thread not currently
-// running window items (including the main thread during merge — replayed
-// effects re-enter Simulator/Network through the normal serial paths).
-thread_local detail::SimWorkerCtx* g_worker = nullptr;
-}  // namespace
-
-SimEngine resolve_engine(SimEngine engine) {
-  if (engine != SimEngine::kDefault) return engine;
-  if (const char* env = std::getenv("SGXP2P_SIM_ENGINE")) {
-    if (std::string_view(env) == "heap") return SimEngine::kHeap;
-    if (std::string_view(env) == "parallel") return SimEngine::kParallel;
-  }
-  return SimEngine::kWheel;
-}
-
-const char* engine_name(SimEngine engine) {
-  switch (resolve_engine(engine)) {
-    case SimEngine::kHeap:
-      return "heap";
-    case SimEngine::kParallel:
-      return "parallel";
-    default:
-      return "wheel";
-  }
-}
-
 Simulator::Simulator(obs::MetricsRegistry& registry, SimEngine engine)
-    : engine_(resolve_engine(engine)),
+    : engine_(engine),
       scheduled_ctr_(registry.counter("sim.events_scheduled")),
       fired_ctr_(registry.counter("sim.events_fired")),
       deliveries_ctr_(registry.counter("sim.deliveries")),
@@ -73,50 +16,6 @@ Simulator::Simulator(obs::MetricsRegistry& registry, SimEngine engine)
       wait_hist_(registry.histogram(
           "sim.event_wait_ms",
           {0, 1, 10, 100, 250, 500, 1000, 2000, 5000, 10000})) {}
-
-Simulator::~Simulator() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    shutdown_ = true;
-  }
-  pool_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-SimTime Simulator::now() const {
-  if (g_worker != nullptr && g_worker->sim == this) return g_worker->now;
-  return now_;
-}
-
-void Simulator::charge(SimDuration cost) {
-  if (g_worker != nullptr && g_worker->sim == this) {
-    g_worker->penalty += cost;
-    return;
-  }
-  penalty_ += cost;
-}
-
-SimDuration Simulator::pending_charge() const {
-  if (g_worker != nullptr && g_worker->sim == this) return g_worker->penalty;
-  return penalty_;
-}
-
-void Simulator::clear_charge() {
-  if (g_worker != nullptr && g_worker->sim == this) {
-    g_worker->penalty = SimDuration{0};
-    return;
-  }
-  penalty_ = SimDuration{0};
-}
-
-bool Simulator::in_worker() const {
-  return g_worker != nullptr && g_worker->sim == this;
-}
-
-void Simulator::defer_effect(std::function<void()> f) {
-  CHECK(g_worker != nullptr && g_worker->sim == this);
-  g_worker->effects->push_back(std::move(f));
-}
 
 // ---------------------------------------------------------------------------
 // Timer wheel
@@ -302,29 +201,6 @@ void Simulator::enqueue(Event ev) {
 }
 
 void Simulator::schedule(SimTime at, std::function<void()> fn) {
-  if (in_worker()) {
-    // Defer the enqueue to the merge phase so seq assignment stays in
-    // canonical order. The timer is pinned to the arming node's lane and
-    // must respect the lookahead horizon — the merge CHECK enforces it.
-    const SimTime when = std::max(at, g_worker->now);
-    const NodeId node = g_worker->node;
-    const std::uint64_t cause = obs::TraceRecorder::global().current_cause();
-    defer_effect([this, when, node, cause, fn = std::move(fn)]() mutable {
-      CHECK_MSG(when >= window_end_,
-                "kParallel conservative-window violation: a delivery handler "
-                "armed a timer due before the Δ-lookahead horizon; run this "
-                "workload with jobs=1");
-      Event ev;
-      ev.at = when;
-      ev.seq = next_seq_++;
-      ev.queued_at = now_;
-      ev.cause_span = obs::TraceRecorder::global().resolve_cause(cause);
-      ev.node = node;
-      ev.fn = std::move(fn);
-      enqueue(std::move(ev));
-    });
-    return;
-  }
   Event ev;
   ev.at = std::max(at, now_);
   ev.seq = next_seq_++;
@@ -343,27 +219,6 @@ std::uint32_t Simulator::add_delivery_handler(DeliveryHandler handler) {
 
 void Simulator::schedule_delivery(SimTime at, std::uint32_t handler,
                                   Delivery d) {
-  if (in_worker()) {
-    const SimTime when = std::max(at, g_worker->now);
-    defer_effect([this, when, handler, d = std::move(d)]() mutable {
-      CHECK_MSG(when >= window_end_,
-                "kParallel conservative-window violation: a delivery was "
-                "scheduled before the Δ-lookahead horizon; respect the "
-                "Network min delay or run with jobs=1");
-      deliveries_ctr_.inc();
-      d.cause_span = obs::TraceRecorder::global().resolve_cause(d.cause_span);
-      Event ev;
-      ev.at = when;
-      ev.seq = next_seq_++;
-      ev.queued_at = now_;
-      ev.cause_span = d.cause_span;
-      ev.node = d.to;
-      ev.delivery = std::move(d);
-      ev.handler = handler;
-      enqueue(std::move(ev));
-    });
-    return;
-  }
   deliveries_ctr_.inc();
   if (engine_ == SimEngine::kHeap) {
     // The reference engine reproduces the original delivery path exactly:
@@ -379,7 +234,6 @@ void Simulator::schedule_delivery(SimTime at, std::uint32_t handler,
   ev.seq = next_seq_++;
   ev.queued_at = now_;
   ev.cause_span = d.cause_span;
-  ev.node = d.to;
   ev.delivery = std::move(d);
   ev.handler = handler;
   enqueue(std::move(ev));
@@ -433,277 +287,12 @@ bool Simulator::step_limit(SimTime limit) {
     fire(ev);
     return true;
   }
-  // kParallel fans a window out only when the active batch is drained and
-  // enough work is pending to beat the fan-out overhead; otherwise (and for
-  // kWheel) the serial wheel path below runs — byte-identical by
-  // construction, and able to handle arbitrary mid-batch scheduling.
-  if (engine_ == SimEngine::kParallel && active_pos_ >= active_.size() &&
-      resolved_jobs() > 1 && wheel_.size() >= parallel_threshold_) {
-    return parallel_window(limit);
-  }
   if (!next_ready(limit)) return false;
   // Move out before firing: the callback may append to active_.
   Event ev = std::move(active_[active_pos_]);
   ++active_pos_;
   fire(ev);
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel engine: conservative Δ-lookahead windows over a worker pool.
-//
-// One window = every wheel batch due in [t0, t0 + lookahead). The Network's
-// min delay guarantees nothing a window item emits lands inside the window,
-// so items only interact through per-node state — partitioning by node makes
-// execution embarrassingly parallel. Handlers run concurrently but every
-// side effect (send, timer, trace event) is captured into a per-item ordered
-// log and replayed serially in canonical (timestamp, seq) order through the
-// untouched serial code paths, which is what makes traces, metrics, RNG
-// draws, FIFO stamps, and bandwidth serialization byte-identical to kWheel.
-
-std::uint32_t Simulator::resolved_jobs() {
-  if (jobs_ != 0) return jobs_;
-  std::uint32_t j = jobs_cfg_;
-  if (j == 0) {
-    if (const char* env = std::getenv("SGXP2P_SIM_JOBS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) j = static_cast<std::uint32_t>(v);
-    }
-  }
-  if (j == 0) j = std::max(1u, std::thread::hardware_concurrency());
-  jobs_ = j;
-  return jobs_;
-}
-
-void Simulator::set_jobs(std::uint32_t jobs) {
-  CHECK_MSG(workers_.empty(),
-            "set_jobs must be called before the first parallel window");
-  jobs_cfg_ = jobs;
-  jobs_ = 0;
-}
-
-void Simulator::set_lookahead(SimDuration min_delay) {
-  if (min_delay < SimDuration{1}) min_delay = SimDuration{1};
-  if (lookahead_ == SimDuration{0} || min_delay < lookahead_) {
-    lookahead_ = min_delay;
-  }
-}
-
-void Simulator::publish_parallel_stats(obs::MetricsRegistry& registry) const {
-  registry.counter("sim.parallel_windows").inc(pstats_.windows);
-  registry.counter("sim.parallel_events").inc(pstats_.events);
-  registry.gauge("sim.worker_steals")
-      .set(static_cast<std::int64_t>(pstats_.steals));
-}
-
-bool Simulator::extract_window(SimTime limit) {
-  auto first = wheel_.peek();
-  if (!first || *first > limit) return false;
-  const SimDuration la = lookahead_ > SimDuration{0} ? lookahead_
-                                                     : SimDuration{1};
-  window_end_ = *first + la;
-  if (limit != Wheel::kNoTime && window_end_ > limit + 1) {
-    window_end_ = limit + 1;
-  }
-  bool fenced = false;
-  while (!fenced) {
-    auto t = wheel_.peek();
-    if (!t || *t >= window_end_) break;
-    wheel_.advance(*t);
-    const std::size_t batch_begin = window_.size();
-    wheel_.take_due(window_);
-    auto by_seq = [](const Event& a, const Event& b) { return a.seq < b.seq; };
-    if (!std::is_sorted(window_.begin() +
-                            static_cast<std::ptrdiff_t>(batch_begin),
-                        window_.end(), by_seq)) {
-      std::sort(window_.begin() + static_cast<std::ptrdiff_t>(batch_begin),
-                window_.end(), by_seq);
-    }
-    // A serial-context timer (node == kNoNode) may touch any node's state:
-    // it fences the window. Everything from the fence onward in this batch
-    // moves to active_ and runs on the serial path after the merge.
-    for (std::size_t i = batch_begin; i < window_.size(); ++i) {
-      if (window_[i].fn && window_[i].node == kNoNode) {
-        active_.clear();
-        active_pos_ = 0;
-        for (std::size_t j = i; j < window_.size(); ++j) {
-          active_.push_back(std::move(window_[j]));
-        }
-        window_.resize(i);
-        fenced = true;
-        break;
-      }
-    }
-  }
-  return !window_.empty() || active_pos_ < active_.size();
-}
-
-bool Simulator::parallel_window(SimTime limit) {
-  if (!extract_window(limit)) return false;
-  if (!window_.empty()) {
-    run_window();
-    merge_window();
-  }
-  // Position the clock on a fence batch so the serial path drains it.
-  if (active_pos_ < active_.size()) now_ = active_[active_pos_].at;
-  return true;
-}
-
-void Simulator::ensure_pool() {
-  if (!workers_.empty()) return;
-  workers_.reserve(jobs_);
-  for (std::uint32_t i = 0; i < jobs_; ++i) {
-    workers_.push_back(std::make_unique<detail::SimWorkerCtx>());
-    workers_.back()->sim = this;
-  }
-  threads_.reserve(jobs_ - 1);
-  for (std::uint32_t i = 1; i < jobs_; ++i) {
-    threads_.emplace_back([this, i] { pool_main(i); });
-  }
-}
-
-void Simulator::run_window() {
-  ++pstats_.windows;
-  pstats_.events += window_.size();
-  const std::size_t n = window_.size();
-  order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order_[i] = static_cast<std::uint32_t>(i);
-  }
-  // Group by destination node (stable: canonical order within a lane).
-  std::stable_sort(order_.begin(), order_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return window_[a].node < window_[b].node;
-                   });
-  tasks_.clear();
-  for (std::size_t i = 0; i < n;) {
-    std::size_t j = i + 1;
-    while (j < n && window_[order_[j]].node == window_[order_[i]].node) ++j;
-    tasks_.push_back(
-        {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
-    i = j;
-  }
-  if (item_fx_.size() < n) item_fx_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) item_fx_[i].clear();
-  next_task_.store(0, std::memory_order_relaxed);
-  abort_window_.store(false, std::memory_order_relaxed);
-  window_registry_ = &obs::MetricsRegistry::current();
-  ensure_pool();
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    ++window_gen_;
-    workers_done_ = 0;
-  }
-  pool_cv_.notify_all();
-  worker_run(0);  // the driver thread works too
-  if (!threads_.empty()) {
-    std::unique_lock<std::mutex> lock(pool_mu_);
-    done_cv_.wait(lock, [this] { return workers_done_ == threads_.size(); });
-  }
-  std::uint64_t steals = 0;
-  for (const auto& w : workers_) steals += w->steals;
-  pstats_.steals = steals;
-}
-
-void Simulator::pool_main(std::uint32_t wid) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      pool_cv_.wait(lock,
-                    [&] { return shutdown_ || window_gen_ != seen; });
-      if (shutdown_) return;
-      seen = window_gen_;
-    }
-    // Bind the driver's registry so lazily created instruments (and the
-    // thread-local pool counters) land where the serial run puts them.
-    obs::MetricsRegistry::ScopedCurrent bind(*window_registry_);
-    worker_run(wid);
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      ++workers_done_;
-    }
-    done_cv_.notify_one();
-  }
-}
-
-void Simulator::worker_run(std::uint32_t wid) {
-  detail::SimWorkerCtx& w = *workers_[wid];
-  g_worker = &w;
-  obs::TraceRecorder::set_worker_sink(&w);
-  for (;;) {
-    if (abort_window_.load(std::memory_order_relaxed)) break;
-    const std::size_t t = next_task_.fetch_add(1, std::memory_order_relaxed);
-    if (t >= tasks_.size()) break;
-    if (t % jobs_ != wid) ++w.steals;
-    bool stop = false;
-    for (std::uint32_t i = tasks_[t].begin; i < tasks_[t].end; ++i) {
-      const std::uint32_t idx = order_[i];
-      Event& ev = window_[idx];
-      w.now = ev.at;
-      w.penalty = SimDuration{0};
-      w.node = ev.node;
-      w.effects = &item_fx_[idx];
-      obs::TraceRecorder::set_ambient(ev.cause_span);
-      try {
-        if (ev.fn) {
-          ev.fn();
-        } else {
-          handlers_[ev.handler](std::move(ev.delivery));
-        }
-      } catch (...) {
-        if (!w.error) {
-          w.error = std::current_exception();
-          w.error_idx = idx;
-        }
-        abort_window_.store(true, std::memory_order_relaxed);
-        stop = true;
-        break;
-      }
-    }
-    if (stop) break;
-  }
-  obs::TraceRecorder::set_ambient(0);
-  obs::TraceRecorder::set_worker_sink(nullptr);
-  g_worker = nullptr;
-}
-
-void Simulator::merge_window() {
-  // A worker exception aborts the window: merge the prefix a serial run
-  // would have completed, then rethrow from the lowest canonical position.
-  std::size_t stop = window_.size();
-  std::exception_ptr error;
-  for (const auto& w : workers_) {
-    if (w->error && w->error_idx < stop) {
-      stop = w->error_idx;
-      error = w->error;
-    }
-  }
-  for (std::size_t idx = 0; idx < stop; ++idx) {
-    Event& ev = window_[idx];
-    now_ = ev.at;
-    window_pos_ = idx + 1;
-    // Mirror fire()'s serial accounting sequence exactly.
-    fired_ctr_.inc();
-    depth_gauge_.set(static_cast<std::int64_t>(pending()));
-    wait_hist_.observe(ev.at - ev.queued_at);
-    for (auto& fx : item_fx_[idx]) fx();
-    item_fx_[idx].clear();
-    penalty_ = SimDuration{0};
-  }
-  if (stop > 0) now_ = window_[stop - 1].at;
-  window_.clear();
-  window_pos_ = 0;
-  if (error) {
-    for (auto& v : item_fx_) v.clear();
-    for (const auto& w : workers_) {
-      if (w->error) {
-        w->error = nullptr;
-        w->error_idx = 0;
-      }
-    }
-    std::rethrow_exception(error);
-  }
 }
 
 bool Simulator::step() { return step_limit(Wheel::kNoTime); }

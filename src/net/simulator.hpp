@@ -18,27 +18,13 @@
 //    slot spans many timestamps. Events due at the same millisecond are
 //    drained as one batch sorted by seq, which preserves the global FIFO
 //    tie-break exactly — traces, metrics, and bench tables are
-//    byte-identical to the heap engine for identical seeds
-//    (tests/test_event_engine.cpp enforces this).
+//    byte-identical to the heap engine for identical seeds, and pinned to
+//    committed golden digests (tests/test_event_engine.cpp enforces both).
 //
 //  * kHeap — the original hand-rolled binary min-heap, kept as the
 //    reference engine for the equivalence tests and as the baseline the
-//    bench_scale speedup gate measures against.
-//
-//  * kParallel — conservative parallel execution over the wheel. The Δ
-//    min-delay every Network enforces (registered via set_lookahead) means
-//    an event fired at t cannot cause another event before t + Δ, so the
-//    engine extracts one lookahead window of events at a time, fans them
-//    out to a persistent worker pool partitioned by destination node, and
-//    serially replays every side effect (sends, timers, trace events,
-//    metrics trajectories) in canonical (timestamp, seq) order. Traces and
-//    metrics snapshots are byte-identical to kWheel for every protocol,
-//    seed, and job count (tests/test_parallel_engine.cpp enforces this).
-//    Contract: a delivery handler may only touch state owned by the
-//    destination node; handlers must not schedule work due before the
-//    lookahead horizon (the merge CHECK-fails if one does — the Network's
-//    own delay floor satisfies this by construction). Timers armed from
-//    serial context act as fences and run on the serial path.
+//    bench_scale dispatch gate measures against. Nothing selects it
+//    implicitly: a caller passes SimEngine::kHeap explicitly.
 //
 // Message deliveries are typed events (Delivery{from, to, payload}) routed
 // to a registered handler rather than per-message std::function closures;
@@ -47,15 +33,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -67,21 +49,10 @@
 
 namespace sgxp2p::sim {
 
-namespace detail {
-struct SimWorkerCtx;  // per-thread worker state, defined in simulator.cpp
-}
-
 enum class SimEngine {
-  kDefault,  // resolve via SGXP2P_SIM_ENGINE env var, else the wheel
   kWheel,
   kHeap,
-  kParallel,  // conservative Δ-lookahead windows over a worker pool
 };
-
-/// Resolves kDefault against the SGXP2P_SIM_ENGINE environment variable
-/// ("wheel", "heap", or "parallel"); anything else selects the wheel.
-[[nodiscard]] SimEngine resolve_engine(SimEngine engine);
-[[nodiscard]] const char* engine_name(SimEngine engine);
 
 /// One in-flight message: the typed event the network schedules instead of
 /// a closure. Exactly one of `payload` (owned, unicast) or `shared`
@@ -106,19 +77,14 @@ class Simulator : public sgx::TrustedClock {
   /// registry, which is the global one unless a run rebound it).
   explicit Simulator(
       obs::MetricsRegistry& registry = obs::MetricsRegistry::current(),
-      SimEngine engine = SimEngine::kDefault);
-  ~Simulator() override;
+      SimEngine engine = SimEngine::kWheel);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Inside a parallel worker this returns the worker's current event time,
-  /// so enclaves always read the virtual instant of the event they handle.
-  [[nodiscard]] SimTime now() const override;
+  [[nodiscard]] SimTime now() const override { return now_; }
   [[nodiscard]] SimEngine engine() const { return engine_; }
 
-  /// Schedules `fn` at absolute virtual time `at` (clamped to now). From a
-  /// parallel worker the event is deferred to the merge phase and pinned to
-  /// the arming node, so the timer keeps firing on that node's task lane.
+  /// Schedules `fn` at absolute virtual time `at` (clamped to now).
   void schedule(SimTime at, std::function<void()> fn);
   void schedule_in(SimDuration delay, std::function<void()> fn) {
     schedule(now() + delay, std::move(fn));
@@ -144,63 +110,17 @@ class Simulator : public sgx::TrustedClock {
   /// here; the Network folds the accumulated charge into the arrival time of
   /// the next send, modeling "the CPU was busy switching worlds before the
   /// message hit the wire". fire() zeroes the accumulator before each event
-  /// so one handler's charges never leak into another's sends. Inside a
-  /// parallel worker the accumulator is per-worker-event, so concurrent
-  /// handlers charge independently.
-  void charge(SimDuration cost);
-  [[nodiscard]] SimDuration pending_charge() const;
-  void clear_charge();
+  /// so one handler's charges never leak into another's sends.
+  void charge(SimDuration cost) { penalty_ += cost; }
+  [[nodiscard]] SimDuration pending_charge() const { return penalty_; }
+  void clear_charge() { penalty_ = SimDuration{0}; }
 
   [[nodiscard]] bool idle() const { return pending() == 0; }
   [[nodiscard]] std::size_t pending() const {
     return engine_ == SimEngine::kHeap
                ? heap_.size()
-               : wheel_.size() + (active_.size() - active_pos_) +
-                     (window_.size() - window_pos_);
+               : wheel_.size() + (active_.size() - active_pos_);
   }
-
-  // — kParallel configuration & plumbing —
-
-  /// Worker count for kParallel (main thread included). 0 (default) resolves
-  /// the SGXP2P_SIM_JOBS env var, else hardware concurrency. jobs=1 runs the
-  /// serial wheel path, byte-identical by construction. Must be called
-  /// before the first parallel window spins up the pool.
-  void set_jobs(std::uint32_t jobs);
-  /// Registers a causality floor: no event fired at t can cause an event
-  /// before t + min_delay. Each Network registers its base_delay; the
-  /// effective lookahead is the minimum over all registrations (floor 1 ms).
-  void set_lookahead(SimDuration min_delay);
-  /// Minimum pending events before a window fans out to the pool; below it
-  /// the serial wheel path runs (fan-out overhead beats tiny windows).
-  /// Tests set 1 to force parallel dispatch at small n.
-  void set_parallel_threshold(std::size_t min_events) {
-    parallel_threshold_ = min_events;
-  }
-
-  struct ParallelStats {
-    std::uint64_t windows = 0;   // conservative windows fanned out
-    std::uint64_t events = 0;    // events executed on worker lanes
-    std::uint64_t steals = 0;    // tasks run off their preferred worker
-  };
-  [[nodiscard]] const ParallelStats& parallel_stats() const { return pstats_; }
-  /// Stamps sim.parallel_windows / sim.parallel_events (deterministic
-  /// counters) and sim.worker_steals (scheduling-dependent gauge, excluded
-  /// from the counters-only CI compare) onto `registry`. Never implicit:
-  /// kParallel metric snapshots stay byte-identical to kWheel unless a
-  /// bench opts in after its equivalence checks.
-  void publish_parallel_stats(obs::MetricsRegistry& registry) const;
-
-  /// True on a worker thread of *this* simulator, while a window runs.
-  [[nodiscard]] bool in_worker() const;
-  /// Worker-side effect capture: defers `f` to the serial merge phase at
-  /// the current event's canonical position (valid only when in_worker()).
-  /// The Network uses this to re-run sends through the real serial path —
-  /// jitter RNG, FIFO ordering, bandwidth serialization untouched.
-  void defer_effect(std::function<void()> f);
-  /// Merge-replay plumbing: restores a captured worker-side charge so a
-  /// replayed send folds the same enclave-transition penalty into its
-  /// arrival time as the serial run would.
-  void set_replay_charge(SimDuration c) { penalty_ = c; }
 
  private:
   struct Event {
@@ -208,10 +128,6 @@ class Simulator : public sgx::TrustedClock {
     std::uint64_t seq = 0;  // tie-break: FIFO among equal timestamps
     SimTime queued_at = 0;  // enqueue time, for the sim.event_wait_ms hist
     std::uint64_t cause_span = 0;  // ambient cause captured at schedule time
-    // Node affinity for kParallel partitioning: deliveries carry their
-    // destination, worker-armed timers their arming node. kNoNode marks a
-    // serial-context timer, which fences the window (it may touch any node).
-    NodeId node = kNoNode;
     std::function<void()> fn;  // timer path; empty for typed deliveries
     Delivery delivery;
     std::uint32_t handler = 0;
@@ -278,18 +194,6 @@ class Simulator : public sgx::TrustedClock {
   void heap_push(Event ev);
   Event heap_pop();
 
-  // — kParallel internals (simulator.cpp, "Parallel engine" section) —
-  std::uint32_t resolved_jobs();
-  bool extract_window(SimTime limit);
-  bool parallel_window(SimTime limit);
-  void run_window();
-  void merge_window();
-  void worker_run(std::uint32_t wid);
-  void pool_main(std::uint32_t wid);
-  void ensure_pool();
-
-  friend struct detail::SimWorkerCtx;
-
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   SimDuration penalty_ = SimDuration{0};  // unconsumed enclave-transition cost
@@ -301,39 +205,6 @@ class Simulator : public sgx::TrustedClock {
   std::vector<Event> active_;
   std::size_t active_pos_ = 0;
   std::vector<DeliveryHandler> handlers_;
-
-  // — kParallel state —
-  std::uint32_t jobs_cfg_ = 0;  // set_jobs() request; 0 = auto
-  std::uint32_t jobs_ = 0;      // resolved at the first parallel window
-  SimDuration lookahead_ = SimDuration{0};  // 0 = unset → 1 ms floor
-  std::size_t parallel_threshold_ = kDefaultParallelThreshold;
-  SimTime window_end_ = 0;  // exclusive horizon of the current window
-  std::vector<Event> window_;
-  std::size_t window_pos_ = 0;  // merged-so-far count, for pending()
-  std::vector<std::uint32_t> order_;  // window indices grouped by node
-  struct TaskRange {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-  std::vector<TaskRange> tasks_;  // one contiguous run of order_ per node
-  // Per-item ordered effect logs: everything a handler emitted (sends,
-  // timers, trace events), replayed serially in canonical order. Outer
-  // vector capacity is recycled across windows.
-  std::vector<std::vector<std::function<void()>>> item_fx_;
-  std::vector<std::thread> threads_;  // jobs_ − 1 pool threads
-  std::vector<std::unique_ptr<detail::SimWorkerCtx>> workers_;  // [jobs_]
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;  // wakes workers on a new window
-  std::condition_variable done_cv_;  // wakes the driver when workers finish
-  std::uint64_t window_gen_ = 0;
-  std::uint32_t workers_done_ = 0;
-  bool shutdown_ = false;
-  std::atomic<std::size_t> next_task_{0};
-  std::atomic<bool> abort_window_{false};
-  obs::MetricsRegistry* window_registry_ = nullptr;
-  ParallelStats pstats_;
-
-  static constexpr std::size_t kDefaultParallelThreshold = 64;
 
   // Registry handles (sim.*), resolved once at construction; incrementing
   // them is a relaxed atomic add, cheap enough for the accounted benches.

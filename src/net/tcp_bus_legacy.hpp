@@ -6,8 +6,8 @@
 // backpressure, no reconnect — a failed connection stays dead). bench_tcp
 // runs it side by side with the epoll TcpBus so the msgs/s, syscalls/msg,
 // and decide-latency deltas of the rebuild stay measurable, mirroring how
-// SimEngine::kHeap and the bench_micro legacy namespace keep superseded
-// implementations runnable as named references.
+// the bench_micro legacy namespace keeps a superseded implementation
+// runnable as a named reference.
 #pragma once
 
 #include <atomic>

@@ -23,7 +23,6 @@ Testbed::Testbed(TestbedConfig config)
       simulator_(*registry_, config.engine),
       network_(simulator_, config.net, *registry_),
       platform_(simulator_, platform_seed(config.seed)) {
-  simulator_.set_jobs(cfg_.jobs);
   // Every ecall/ocall on this deployment is counted under sgx.*; when the
   // config carries nonzero costs, each transition also charges virtual time
   // that the Network folds into the next send's arrival.

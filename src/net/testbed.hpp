@@ -32,13 +32,10 @@ struct TestbedConfig {
   SimDuration round_ms = 0;  // 0 → 2 × net.worst_delay()  (round = 2Δ)
   protocol::ChannelMode mode = protocol::ChannelMode::kAttested;
   std::uint64_t seed = 1;
-  /// Event-engine selection (timer wheel by default; the reference heap is
-  /// kept for equivalence tests and as the bench_scale baseline).
-  SimEngine engine = SimEngine::kDefault;
-  /// Worker count for SimEngine::kParallel (0 → SGXP2P_SIM_JOBS env, else
-  /// hardware concurrency). Ignored by the serial engines. jobs=1 runs the
-  /// serial wheel path — the fuzzer pins it so reproducers stay byte-stable.
-  std::uint32_t jobs = 0;
+  /// Event engine: the timer wheel. Equivalence tests and the scale/shard
+  /// benches pass SimEngine::kHeap to run the same deployment on the
+  /// reference heap.
+  SimEngine engine = SimEngine::kWheel;
   /// Registry this deployment instruments. nullptr → the thread's current
   /// registry at construction time (usually the global one). Sweep drivers
   /// hand every run its own registry so runs are isolated and mergeable.

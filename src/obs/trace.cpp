@@ -20,8 +20,6 @@ void TraceRecorder::enable(std::size_t capacity) {
   dropped_ = 0;
   next_span_ = 1;
   current_ = 0;
-  token_counter_.store(1, std::memory_order_relaxed);
-  token_map_.clear();
   enabled_ = true;
 }
 
@@ -33,8 +31,6 @@ void TraceRecorder::reset() {
   dropped_ = 0;
   next_span_ = 1;
   current_ = 0;
-  token_counter_.store(1, std::memory_order_relaxed);
-  token_map_.clear();
 }
 
 void TraceRecorder::push(const TraceEvent& ev) {

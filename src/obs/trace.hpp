@@ -21,14 +21,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/time.hpp"
 
 namespace sgxp2p::obs {
@@ -75,94 +72,17 @@ class TraceRecorder {
   /// a nonzero cause passes through untouched. Returns the assigned span id,
   /// or 0 when recording is disabled — 0 is never a valid span, so callers
   /// can use the return value unconditionally as a causal token.
-  ///
-  /// Inside a parallel-engine worker a thread-local WorkerSink is installed:
-  /// the event is buffered instead of pushed, and the return value is a
-  /// provisional *span token* (bit 63 set). Tokens are valid wherever spans
-  /// are (Scope, Delivery.cause_span, explicit causes): the recorder
-  /// translates them back to the real span — assigned when the buffered
-  /// event is replayed at its canonical merge position — so merged traces
-  /// are byte-identical to a serial run.
   std::uint64_t record(TraceEvent ev) {
     if (!enabled_) return 0;
     if (ev.cause == 0) ev.cause = current_;
-    if (sink_ != nullptr) return sink_->record(ev);
-    if (is_token(ev.cause)) ev.cause = resolve_cause(ev.cause);
     ev.span = next_span_++;
     push(ev);
     return ev.span;
   }
 
   /// The ambient cause applied to events recorded with cause==0. 0 means
-  /// "root": the event was not triggered by any recorded event. The ambient
-  /// cause is thread-local, so parallel-engine workers each carry their own
-  /// causal context without synchronizing.
+  /// "root": the event was not triggered by any recorded event.
   [[nodiscard]] std::uint64_t current_cause() const { return current_; }
-
-  // — parallel-engine plumbing (see src/net/simulator.cpp) —
-
-  /// Span tokens: provisional ids handed out by a WorkerSink in place of
-  /// real spans. Bit 63 marks them; real spans never reach it.
-  static constexpr std::uint64_t kTokenBit = 1ull << 63;
-  [[nodiscard]] static bool is_token(std::uint64_t id) {
-    return (id & kTokenBit) != 0;
-  }
-  /// Mints a fresh token (thread-safe; workers call this concurrently).
-  [[nodiscard]] std::uint64_t acquire_token() {
-    return kTokenBit | token_counter_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Maps a span-or-token back to a real span (identity for real spans and
-  /// 0). Aborts if the token's defining event has not been replayed yet —
-  /// canonical merge order guarantees definition-before-use.
-  [[nodiscard]] std::uint64_t resolve_cause(std::uint64_t cause) const {
-    if (!is_token(cause)) return cause;
-    auto it = token_map_.find(cause);
-    CHECK_MSG(it != token_map_.end(),
-              "trace token consumed before its defining event was merged");
-    return it->second;
-  }
-  /// Merge-phase emit of a worker-buffered event: translates a token cause,
-  /// assigns the real span in canonical order, and registers `token` so
-  /// later consumers resolve to it. Returns the real span.
-  std::uint64_t replay(TraceEvent ev, std::uint64_t token) {
-    if (!enabled_) return 0;
-    if (ev.cause == 0) ev.cause = current_;
-    if (is_token(ev.cause)) ev.cause = resolve_cause(ev.cause);
-    ev.span = next_span_++;
-    push(ev);
-    if (token != 0) token_map_[token] = ev.span;
-    return ev.span;
-  }
-
-  /// Buffers events recorded on a worker thread instead of pushing them.
-  /// Installed per-thread for the duration of one conservative window.
-  class WorkerSink {
-   public:
-    virtual ~WorkerSink() = default;
-    /// Buffers `ev` (ambient cause already substituted; may be a token) and
-    /// returns a provisional span token for it.
-    virtual std::uint64_t record(const TraceEvent& ev) = 0;
-  };
-  static void set_worker_sink(WorkerSink* sink) { sink_ = sink; }
-  /// Sets this thread's ambient cause directly (workers position it at the
-  /// start of each event; AmbientGuard restores it around merge replay).
-  static void set_ambient(std::uint64_t cause) { current_ = cause; }
-
-  /// RAII ambient-cause override used when replaying a deferred effect at
-  /// merge time: restores the captured worker-side ambient cause (resolving
-  /// tokens) so re-executed sends attribute exactly as a serial run would.
-  class AmbientGuard {
-   public:
-    explicit AmbientGuard(std::uint64_t cause) : saved_(current_) {
-      current_ = global().resolve_cause(cause);
-    }
-    ~AmbientGuard() { current_ = saved_; }
-    AmbientGuard(const AmbientGuard&) = delete;
-    AmbientGuard& operator=(const AmbientGuard&) = delete;
-
-   private:
-    std::uint64_t saved_;
-  };
 
   /// RAII ambient-cause scope: while alive, events recorded without an
   /// explicit cause are attributed to `span`. Scopes nest (dispatch → handler
@@ -215,14 +135,9 @@ class TraceRecorder {
   std::size_t count_ = 0;  // number of valid events
   std::uint64_t dropped_ = 0;
   std::uint64_t next_span_ = 1;  // span 0 is reserved for "no cause"
-  std::atomic<std::uint64_t> token_counter_{1};
-  std::unordered_map<std::uint64_t, std::uint64_t> token_map_;  // token → span
   std::vector<TraceEvent> ring_;
-  // Ambient cause (see Scope) and the per-thread worker sink. Thread-local so
-  // parallel workers never contend — the serial engines only ever touch the
-  // main thread's copy.
+  // Ambient cause (see Scope), one per thread.
   inline static thread_local std::uint64_t current_ = 0;
-  inline static thread_local WorkerSink* sink_ = nullptr;
 };
 
 /// Convenience emitter: single branch when tracing is off. Returns the span

@@ -109,10 +109,9 @@ namespace sgxp2p::sim {
 /// Harness for PlainNode protocols (mirrors Testbed's round loop).
 class PlainBed {
  public:
-  PlainBed(std::uint32_t n, NetworkConfig net_cfg, SimDuration round_ms = 0,
-           SimEngine engine = SimEngine::kDefault)
+  PlainBed(std::uint32_t n, NetworkConfig net_cfg, SimDuration round_ms = 0)
       : n_(n),
-        simulator_(obs::MetricsRegistry::current(), engine),
+        simulator_(obs::MetricsRegistry::current()),
         network_(simulator_, net_cfg),
         round_ms_(round_ms != 0 ? round_ms : 2 * net_cfg.worst_delay()) {}
 

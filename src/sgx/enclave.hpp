@@ -135,8 +135,8 @@ class Enclave {
   EnclaveHostIface* host_;
   crypto::Drbg drbg_;
   // Sub-millisecond remainder of the calibrated transition model. Per
-  // enclave so ms-boundary crossings follow this node's canonical
-  // transition order — deterministic under the parallel engine.
+  // enclave so ms-boundary crossings follow this node's own transition
+  // order.
   TransitionMeter::NsCarry transition_carry_;
 };
 

@@ -77,10 +77,8 @@ class SgxPlatform {
   Bytes sealing_root_;
   crypto::Drbg entropy_;
   std::uint64_t launch_counter_ = 0;
-  // Guards counters_: under SimEngine::kParallel, enclaves on different
-  // worker threads read/bump their monotonic counters concurrently. Each
-  // (CPU, measurement) key is only touched by its own node, so per-counter
-  // values stay deterministic; the lock just protects the map structure.
+  // Guards the counters_ map structure. Each (CPU, measurement) key is only
+  // touched by its own node, so per-counter values stay deterministic.
   mutable std::mutex counters_mu_;
   std::map<std::pair<CpuId, Measurement>, std::uint64_t> counters_;
   TransitionMeter transitions_;

@@ -16,10 +16,9 @@
 //   - ecall_ns/ocall_ns: the calibrated sub-millisecond model. Nanoseconds
 //     accumulate in a caller-owned NsCarry and are charged to the virtual
 //     clock whenever whole milliseconds accrue, so ~250 transitions at
-//     ~4 µs cost 1 virtual ms. The carry lives per enclave (each node's
-//     transition order is canonical), which keeps the ms-boundary crossings
-//     deterministic under the parallel engine — one global carry would make
-//     them depend on worker interleaving.
+//     ~4 µs cost 1 virtual ms. The carry lives per enclave, so each node's
+//     ms-boundary crossings follow its own transition order and do not
+//     depend on how other nodes' transitions interleave with it.
 //
 // The calibrated preset also models the EPC paging cliff: beyond the
 // resident-set threshold (~93 MiB usable of the 128 MiB EPC on the measured
@@ -33,9 +32,7 @@
 // supplied hook (the Testbed wires it to Simulator::charge, which folds the
 // accumulated cost into the arrival time of the handler's next sends).
 // Default costs are zero, so existing baselines, traces, and bench tables
-// are unchanged unless a run opts in. Counters are relaxed atomics: under
-// SimEngine::kParallel concurrent handlers meter transitions from worker
-// threads (the charge hook is worker-aware too — see Simulator::charge).
+// are unchanged unless a run opts in. Counters are relaxed atomics.
 //
 // Metrics (registered by bind(), typically on the testbed's registry):
 //   sgx.ecalls              total enclave entries
@@ -126,9 +123,8 @@ class TransitionMeter {
     cost_ctr_ = &registry.counter("sgx.transition_cost_ms");
   }
 
-  /// Sets the cost model and the sink the virtual cost is charged to. The
-  /// hook may be invoked from parallel-engine worker threads; the Testbed's
-  /// Simulator::charge sink accumulates per-worker-event there.
+  /// Sets the cost model and the sink the virtual cost is charged to (the
+  /// Testbed wires it to Simulator::charge).
   void configure(TransitionCosts costs, ChargeFn charge) {
     costs_ = costs;
     eff_ecall_ns_ = costs.effective_ecall_ns();

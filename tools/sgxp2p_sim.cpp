@@ -23,16 +23,6 @@
 //   --delta-ms <int>                     one-way delay bound Δ (default 500)
 //   --mode attested|accounted            channel mode (default attested for
 //                                        n ≤ 128, else accounted)
-//   --engine wheel|heap|parallel         simulator event engine (default
-//                                        wheel; heap = reference engine;
-//                                        parallel = Δ-lockstep worker pool)
-//   --jobs <int>                         worker count for --engine parallel
-//                                        (default 0 = SGXP2P_SIM_JOBS env or
-//                                        hardware concurrency). An active
-//                                        --adversary pins jobs to 1: replay
-//                                        files and adversarial schedules are
-//                                        byte-stable against the serial
-//                                        execution they were recorded under.
 //   --sgx-costs zero|calibrated|FILE     enclave-transition cost model
 //                                        (default zero). calibrated = the
 //                                        measured preset (≈3.1 µs ECALL,
@@ -180,9 +170,7 @@ struct Options {
   std::uint64_t seed = 1;
   SimDuration delta_ms = 500;
   std::string mode;
-  std::string engine;
-  std::uint32_t jobs = 0;      // 0 = env/hardware default
-  std::string sgx_costs;       // "", "zero", "calibrated", or a JSON path
+  std::string sgx_costs;  // "", "zero", "calibrated", or a JSON path
   std::uint64_t sgx_working_set_mb = 0;
   bool csv = false;
   std::string metrics_path;  // empty → no snapshot written
@@ -241,10 +229,6 @@ Options parse(int argc, char** argv) {
     o.delta_ms = std::atoi(v);
   }
   if (const char* v = flag_value(argc, argv, "--mode")) o.mode = v;
-  if (const char* v = flag_value(argc, argv, "--engine")) o.engine = v;
-  if (const char* v = flag_value(argc, argv, "--jobs")) {
-    o.jobs = std::atoi(v);
-  }
   if (const char* v = flag_value(argc, argv, "--sgx-costs")) o.sgx_costs = v;
   if (const char* v = flag_value(argc, argv, "--sgx-working-set")) {
     o.sgx_working_set_mb = std::strtoull(v, nullptr, 10);
@@ -660,24 +644,6 @@ int main(int argc, char** argv) {
   bool accounted = o.mode.empty() ? o.n > 128 : o.mode == "accounted";
   cfg.mode = accounted ? protocol::ChannelMode::kAccounted
                        : protocol::ChannelMode::kAttested;
-  if (o.engine == "heap") {
-    cfg.engine = sim::SimEngine::kHeap;
-  } else if (o.engine == "wheel") {
-    cfg.engine = sim::SimEngine::kWheel;
-  } else if (o.engine == "parallel") {
-    cfg.engine = sim::SimEngine::kParallel;
-  } else if (!o.engine.empty()) {
-    std::fprintf(stderr, "unknown engine '%s' (wheel|heap|parallel)\n",
-                 o.engine.c_str());
-    return 2;
-  }
-  cfg.jobs = o.jobs;
-  if (o.adversary != "none" && o.byz > 0) {
-    // Adversarial runs stay on one worker: strategies and replay stamps were
-    // recorded under serial execution, and jobs=1 keeps them byte-stable
-    // without forbidding --engine parallel (the merge order is identical).
-    cfg.jobs = 1;
-  }
   if (!resolve_sgx_costs(o, cfg.sgx_costs)) return 2;
   if (o.protocol == "recovery") {
     if (o.n < 4) {
