@@ -321,6 +321,8 @@ void Sha256::process_blocks(const std::uint8_t* data, std::size_t nblocks) {
 }
 
 void Sha256::update(ByteView data) {
+  // An empty view may carry a null pointer, which memcpy must never see.
+  if (data.empty()) return;
   bit_count_ += static_cast<std::uint64_t>(data.size()) * 8;
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

@@ -45,6 +45,20 @@ bool read_exact(int fd, std::uint8_t* data, std::size_t len) {
   return true;
 }
 
+// Waits until `fd` is readable; false if `deadline` passes first.
+bool wait_readable(int fd, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) return false;
+    pollfd p{fd, POLLIN, 0};
+    const int r = ::poll(&p, 1, static_cast<int>(left));
+    if (r > 0) return true;
+    if (r == 0 || errno != EINTR) return false;
+  }
+}
+
 sockaddr_in make_addr(const PeerAddress& peer) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -123,9 +137,15 @@ bool MeshTransport::start(SimDuration dial_timeout_ms) {
     peers_[j]->fd = fd;
   }
 
-  // Accept every higher id; the hello tells us who arrived.
+  // Accept every higher id; the hello tells us who arrived. A peer that
+  // never dials (it died, or could not bind its own port) fails the start
+  // within the same budget instead of blocking it forever.
+  const auto accept_deadline = std::chrono::steady_clock::now() +
+                               std::chrono::milliseconds(dial_timeout_ms);
   for (NodeId expected = self_ + 1; expected < n; ++expected) {
-    int fd = ::accept(listener, nullptr, nullptr);
+    int fd = wait_readable(listener, accept_deadline)
+                 ? ::accept(listener, nullptr, nullptr)
+                 : -1;
     if (fd < 0) {
       ::close(listener);
       return false;

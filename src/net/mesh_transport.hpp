@@ -55,7 +55,8 @@ class MeshTransport {
   void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
   /// Binds, dials lower ids (retrying up to `dial_timeout_ms`), accepts
-  /// higher ids, then starts the I/O thread. Blocking; false on failure.
+  /// higher ids (waiting up to `dial_timeout_ms` for all of them), then
+  /// starts the I/O thread. Blocking; false on failure.
   bool start(SimDuration dial_timeout_ms = 15000);
   void stop();
 

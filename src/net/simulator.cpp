@@ -93,14 +93,14 @@ std::optional<SimTime> Simulator::Wheel::peek() const {
 
 void Simulator::Wheel::cascade(int level, std::size_t idx) {
   const std::size_t s = static_cast<std::size_t>(level) * kSlots + idx;
-  auto& slot = slots_[s];
-  if (slot.empty()) return;
+  if (slots_[s].empty()) return;
   occupied_[static_cast<std::size_t>(level) * kWords + (idx >> 6)] &=
       ~(std::uint64_t{1} << (idx & 63));
   slot_min_[s] = kNoTime;
-  scratch_.clear();
-  scratch_.swap(slot);  // also hands scratch_'s old capacity to the slot
-  for (Event& ev : scratch_) place(std::move(ev));
+  // The bucket's buffer is freed when the cascade ends; its events land in
+  // lower levels, never back in this slot.
+  std::vector<Event> bucket = std::exchange(slots_[s], {});
+  for (Event& ev : bucket) place(std::move(ev));
 }
 
 void Simulator::Wheel::advance(SimTime to) {
@@ -115,8 +115,7 @@ void Simulator::Wheel::advance(SimTime to) {
     cascade(l, (tgt >> (l * kBits)) & kMask);
   }
   if (!far_.empty() && (old >> (kLevels * kBits)) != (tgt >> (kLevels * kBits))) {
-    std::vector<Event> keep;
-    keep.reserve(far_.size());
+    std::vector<Event> keep;  // sized by what stays, not by what left
     far_min_ = kNoTime;
     for (Event& ev : far_) {
       if (level_for(ev.at) >= 0) {
@@ -137,12 +136,13 @@ void Simulator::Wheel::take_due(std::vector<Event>& out) {
   occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
   slot_min_[idx] = kNoTime;
   size_ -= slot.size();
-  if (out.empty()) {
-    out.swap(slot);  // steal the batch wholesale, recycle out's capacity
-  } else {
-    for (Event& ev : slot) out.push_back(std::move(ev));
-    slot.clear();
-  }
+  out = std::exchange(slot, {});  // the batch takes the buffer wholesale
+}
+
+std::size_t Simulator::Wheel::capacity_bytes() const {
+  std::size_t events = far_.capacity();
+  for (const auto& slot : slots_) events += slot.capacity();
+  return events * sizeof(Event);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,6 +200,17 @@ void Simulator::enqueue(Event ev) {
   depth_peak_.max_of(depth);
 }
 
+std::uint32_t Simulator::stash_timer(std::function<void()> fn) {
+  if (free_timers_.empty()) {
+    timers_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(timers_.size() - 1);
+  }
+  const std::uint32_t idx = free_timers_.back();
+  free_timers_.pop_back();
+  timers_[idx] = std::move(fn);
+  return idx;
+}
+
 void Simulator::schedule(SimTime at, std::function<void()> fn) {
   Event ev;
   ev.at = std::max(at, now_);
@@ -208,7 +219,7 @@ void Simulator::schedule(SimTime at, std::function<void()> fn) {
   // A timer inherits the causal context of whoever armed it, so the span
   // DAG flows through protocol delays (retransmit timers, round alignment).
   ev.cause_span = obs::TraceRecorder::global().current_cause();
-  ev.fn = std::move(fn);
+  ev.timer = stash_timer(std::move(fn));
   enqueue(std::move(ev));
 }
 
@@ -234,8 +245,11 @@ void Simulator::schedule_delivery(SimTime at, std::uint32_t handler,
   ev.seq = next_seq_++;
   ev.queued_at = now_;
   ev.cause_span = d.cause_span;
-  ev.delivery = std::move(d);
+  ev.from = d.from;
+  ev.to = d.to;
   ev.handler = handler;
+  ev.payload = std::move(d.payload);
+  ev.shared = std::move(d.shared);
   enqueue(std::move(ev));
 }
 
@@ -249,17 +263,25 @@ void Simulator::fire(Event& ev) {
   // Network re-scopes deliveries to their own `deliver` span, so both
   // engines (closure-wrapped heap deliveries included) emit identical DAGs.
   obs::TraceRecorder::Scope causal(ev.cause_span);
-  if (ev.fn) {
-    ev.fn();
+  if (ev.handler == kTimer) {
+    // Free the table entry before the call: the callback may arm timers
+    // that reuse this index or grow the table.
+    std::function<void()> fn = std::exchange(timers_[ev.timer], nullptr);
+    free_timers_.push_back(ev.timer);
+    fn();
   } else {
-    handlers_[ev.handler](std::move(ev.delivery));
+    Delivery d{ev.from, ev.to, ev.cause_span, std::move(ev.payload),
+               std::move(ev.shared)};
+    handlers_[ev.handler](std::move(d));
   }
 }
 
 bool Simulator::next_ready(SimTime limit) {
   if (active_pos_ < active_.size()) return now_ <= limit;
   if (active_pos_ != 0) {
-    active_.clear();
+    // Release the drained batch's buffer: the next take_due brings its own,
+    // and an idle queue keeps no capacity.
+    active_ = std::vector<Event>();
     active_pos_ = 0;
   }
   auto t = wheel_.peek();
@@ -296,6 +318,13 @@ bool Simulator::step_limit(SimTime limit) {
 }
 
 bool Simulator::step() { return step_limit(Wheel::kNoTime); }
+
+std::size_t Simulator::queue_capacity_bytes() const {
+  return wheel_.capacity_bytes() +
+         (active_.capacity() + heap_.capacity()) * sizeof(Event) +
+         timers_.capacity() * sizeof(std::function<void()>) +
+         free_timers_.capacity() * sizeof(std::uint32_t);
+}
 
 void Simulator::run() {
   while (step_limit(Wheel::kNoTime)) {

@@ -10,26 +10,32 @@
 //
 //  * kWheel (default) — a hierarchical timer wheel: kLevels levels of
 //    kSlots buckets, each level covering kBits more bits of the timestamp.
-//    Network delays are bounded by Δ = base_delay + max_jitter, so nearly
-//    every event lands within the first two levels and schedule/pop are
-//    O(1) instead of O(log m) on a heap holding ~n² pending deliveries.
-//    Per-level occupancy bitmaps make "next non-empty bucket" a handful of
-//    word scans; a per-slot minimum keeps peek exact even when a coarse
-//    slot spans many timestamps. Events due at the same millisecond are
-//    drained as one batch sorted by seq, which preserves the global FIFO
-//    tie-break exactly — traces, metrics, and bench tables are
-//    byte-identical to the heap engine for identical seeds, and pinned to
-//    committed golden digests (tests/test_event_engine.cpp enforces both).
+//    Network delays are bounded by Δ = base_delay + max_jitter, and level 0
+//    spans 1024 ms — more than a default round (2Δ = 1000 ms) — so every
+//    delivery of a default run goes straight into its millisecond slot and
+//    never cascades; schedule/pop are O(1) instead of O(log m) on a heap
+//    holding ~n² pending deliveries. Per-level occupancy bitmaps make "next
+//    non-empty bucket" a handful of word scans; a per-slot minimum keeps
+//    peek exact even when a coarse slot spans many timestamps. Events due
+//    at the same millisecond are drained as one batch sorted by seq, which
+//    preserves the global FIFO tie-break exactly — traces, metrics, and
+//    bench tables are byte-identical to the heap engine for identical
+//    seeds, and pinned to committed golden digests
+//    (tests/test_event_engine.cpp enforces both). A drained slot hands its
+//    buffer to the batch and keeps no capacity, so the queue's memory
+//    tracks the events pending, not the peak of any one bucket.
 //
 //  * kHeap — the original hand-rolled binary min-heap, kept as the
 //    reference engine for the equivalence tests and as the baseline the
 //    bench_scale dispatch gate measures against. Nothing selects it
 //    implicitly: a caller passes SimEngine::kHeap explicitly.
 //
-// Message deliveries are typed events (Delivery{from, to, payload}) routed
-// to a registered handler rather than per-message std::function closures;
-// the type-erased path remains for protocol timers. Multicast payloads are
-// carried refcounted so an n−1 fan-out shares one buffer.
+// Message deliveries are typed events (Delivery{from, to, cause_span,
+// payload, shared}) routed to a registered handler rather than per-message
+// std::function closures. Every pending event is one flat 88-byte record;
+// a protocol timer's closure lives in a side table the record indexes, so
+// deliveries carry no empty std::function. Multicast payloads are carried
+// refcounted so an n−1 fan-out shares one buffer.
 #pragma once
 
 #include <array>
@@ -122,16 +128,32 @@ class Simulator : public sgx::TrustedClock {
                : wheel_.size() + (active_.size() - active_pos_);
   }
 
+  /// Bytes of storage the event queue holds right now: the capacity of the
+  /// wheel's slot buffers, the due batch, the overflow list, the heap and
+  /// the timer table. Fixed-size bookkeeping (bitmaps, slot headers) is not
+  /// counted. Once the queue drains, only the timer table keeps capacity.
+  [[nodiscard]] std::size_t queue_capacity_bytes() const;
+
  private:
+  /// Sentinel `handler` of a timer event: its closure is timers_[timer].
+  static constexpr std::uint32_t kTimer =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One pending event, flat: a delivery's fields ride inline, a timer
+  /// carries only the index of its closure in the timer table.
   struct Event {
     SimTime at = 0;
     std::uint64_t seq = 0;  // tie-break: FIFO among equal timestamps
     SimTime queued_at = 0;  // enqueue time, for the sim.event_wait_ms hist
-    std::uint64_t cause_span = 0;  // ambient cause captured at schedule time
-    std::function<void()> fn;  // timer path; empty for typed deliveries
-    Delivery delivery;
-    std::uint32_t handler = 0;
+    std::uint64_t cause_span = 0;  // delivery's send span, or timer's cause
+    NodeId from = kNoNode;
+    NodeId to = kNoNode;
+    std::uint32_t handler = kTimer;  // delivery handler index, or kTimer
+    std::uint32_t timer = 0;         // timers_ index when handler == kTimer
+    Bytes payload;
+    std::shared_ptr<const Bytes> shared;
   };
+  static_assert(sizeof(Event) <= 88);
   // Min-heap order: earliest timestamp first, FIFO among equals.
   static bool before(const Event& a, const Event& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -145,8 +167,9 @@ class Simulator : public sgx::TrustedClock {
   /// down a level, so every event is touched O(kLevels) times total.
   class Wheel {
    public:
-    static constexpr int kBits = 8;
-    static constexpr int kLevels = 5;  // covers deltas up to 2^40 ms
+    // Level 0 spans 1024 ms, more than a default round (2Δ = 1000 ms).
+    static constexpr int kBits = 10;
+    static constexpr int kLevels = 4;  // covers deltas up to 2^40 ms
     static constexpr std::size_t kSlots = std::size_t{1} << kBits;
     static constexpr std::size_t kMask = kSlots - 1;
     static constexpr std::size_t kWords = kSlots / 64;
@@ -159,10 +182,14 @@ class Simulator : public sgx::TrustedClock {
     /// Moves the cursor to `to` (precondition: nothing pending before it),
     /// cascading coarse buckets the cursor enters.
     void advance(SimTime to);
-    /// Moves every event due exactly at the cursor into `out` (unsorted).
+    /// Hands the buffer of events due exactly at the cursor to `out`
+    /// (unsorted; precondition: `out` is empty) and leaves the slot with no
+    /// capacity.
     void take_due(std::vector<Event>& out);
     [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] SimTime cur() const { return cur_; }
+    /// Capacity, in bytes, of the slot buffers and the overflow list.
+    [[nodiscard]] std::size_t capacity_bytes() const;
 
    private:
     [[nodiscard]] int level_for(SimTime at) const;
@@ -181,10 +208,11 @@ class Simulator : public sgx::TrustedClock {
     // unordered overflow list, re-filed when the cursor gets close.
     std::vector<Event> far_;
     SimTime far_min_ = kNoTime;
-    std::vector<Event> scratch_;  // cascade staging, capacity recycled
   };
 
   void enqueue(Event ev);
+  /// Stores a timer closure in the timer table; returns its index.
+  std::uint32_t stash_timer(std::function<void()> fn);
   void fire(Event& ev);
   /// Fires the next event with timestamp ≤ limit; false if none.
   bool step_limit(SimTime limit);
@@ -205,6 +233,11 @@ class Simulator : public sgx::TrustedClock {
   std::vector<Event> active_;
   std::size_t active_pos_ = 0;
   std::vector<DeliveryHandler> handlers_;
+  // Timer table: the closures of pending timer events (and, on kHeap, of
+  // every pending delivery), indexed by Event::timer. Fired entries go on
+  // the free list and are reused by the next schedule().
+  std::vector<std::function<void()>> timers_;
+  std::vector<std::uint32_t> free_timers_;
 
   // Registry handles (sim.*), resolved once at construction; incrementing
   // them is a relaxed atomic add, cheap enough for the accounted benches.

@@ -36,7 +36,9 @@ Bytes BufferPool::take(std::size_t want) {
   PoolCounters::get().acquires->inc();
   if (free_.empty()) {
     ++stats_.misses;
-    return Bytes();
+    Bytes fresh;
+    fresh.reserve(want);
+    return fresh;
   }
   ++stats_.hits;
   Bytes buf = std::move(free_.back());

@@ -264,9 +264,11 @@ Bytes PeerEnclave::seal_for(NodeId to, ByteView plaintext) {
     CHECK_MSG(it != links_.end(), "seal_for: no link with peer");
     return it->second.seal(plaintext);
   }
-  // Accounted mode: same wire size, no cipher work. acquire() zero-fills
-  // the header bytes exactly like the old `Bytes out(kAeadOverhead, 0)`.
-  Bytes out = obs::BufferPool::local().acquire(crypto::kAeadOverhead);
+  // Accounted mode: same wire size, no cipher work. One allocation holds
+  // the zero-filled header (resize value-initializes) and the plaintext.
+  const std::size_t wire_size = crypto::kAeadOverhead + plaintext.size();
+  Bytes out = obs::BufferPool::local().acquire_empty(wire_size);
+  out.resize(crypto::kAeadOverhead);
   append(out, plaintext);
   return out;
 }

@@ -65,6 +65,8 @@ TEST(Sha256, StreamingMatchesOneShot) {
       std::size_t take = std::min<std::size_t>(
           msg.size() - pos, 1 + rng.next_below(64));
       h.update(ByteView(msg.data() + pos, take));
+      // An empty update (null data pointer) is a no-op, also mid-block.
+      h.update(ByteView{});
       pos += take;
     }
     EXPECT_EQ(h.finalize(), Sha256::hash(msg)) << "len=" << len;

@@ -322,6 +322,10 @@ TEST(BufferPoolPoison, RecycledBuffersAreZeroFilled) {
 TEST(BufferPoolPoison, AcquireEmptyIsEmptyWithCapacity) {
   auto& pool = obs::BufferPool::local();
   pool.clear();
+  // Cold pool: the miss still honours the requested capacity.
+  Bytes cold = pool.acquire_empty(100);
+  EXPECT_TRUE(cold.empty());
+  EXPECT_GE(cold.capacity(), 100u);
   Bytes dirty = pool.acquire(128);
   std::fill(dirty.begin(), dirty.end(), std::uint8_t{0xEE});
   pool.release(std::move(dirty));

@@ -63,7 +63,10 @@ std::vector<std::string> run_deployment(int n, int base_port,
   return results;
 }
 
-int pick_port(int salt) { return 46000 + (getpid() * 7 + salt) % 2000; }
+// Base ports sit below the kernel's default ephemeral range (32768–60999),
+// so no outgoing connection elsewhere on the host (a concurrent socket test,
+// say) can already hold a node's listening port.
+int pick_port(int salt) { return 30000 + (getpid() * 7 + salt) % 2000; }
 
 TEST(MultiProcess, ErbFiveProcessesAgree) {
   auto results = run_deployment(5, pick_port(0), "erb", "cross-process m");
