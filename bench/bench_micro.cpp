@@ -9,7 +9,8 @@
 //     buffer allocations, per-message HMAC key schedule).
 // Against those we measure the current batched cipher (scalar and, when the
 // binary carries one, the SIMD kernel — toggled via chacha20_force_scalar())
-// and the AeadKey single-allocation seal/open.
+// and the AeadKey single-allocation seal/open. One X25519 shared secret, the
+// unit of the attested setup phase, is timed in ns/op.
 //
 // Flags:
 //   --quick           shorter measurement windows (CI smoke mode)
@@ -35,6 +36,7 @@
 #include "crypto/drbg.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/x25519.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -180,7 +182,9 @@ struct Result {
 
 /// Runs `fn` for ~g_seconds_per_bench, g_repeats times, and reports the
 /// median throughput (min/max alongside). Scheduler noise hits min and max;
-/// the median is what `check_bench_json --compare` gates on.
+/// the median is what `check_bench_json --compare` gates on. With
+/// `bytes_per_op` 0 the row is an operation, not a stream: it reports and
+/// mirrors ns/op instead of MB/s.
 template <typename Fn>
 Result measure(const std::string& name, std::size_t bytes_per_op, Fn&& fn) {
   using clock = std::chrono::steady_clock;
@@ -211,8 +215,10 @@ Result measure(const std::string& name, std::size_t bytes_per_op, Fn&& fn) {
              elapsed / (1024.0 * 1024.0);
     reps.push_back(r);
   }
-  std::sort(reps.begin(), reps.end(),
-            [](const Rep& a, const Rep& b) { return a.mbps < b.mbps; });
+  // Slowest repetition first.
+  std::sort(reps.begin(), reps.end(), [](const Rep& a, const Rep& b) {
+    return a.ns_per_op > b.ns_per_op;
+  });
   const Rep& med = reps[reps.size() / 2];
   Result r;
   r.name = name;
@@ -221,10 +227,23 @@ Result measure(const std::string& name, std::size_t bytes_per_op, Fn&& fn) {
   r.mbps_max = reps.back().mbps;
   r.ns_per_op = med.ns_per_op;
   r.iters = med.iters;
-  std::printf("  %-34s %10.1f MB/s  [%.1f..%.1f]  %12.0f ns/op\n",
-              name.c_str(), r.mbps, r.mbps_min, r.mbps_max, r.ns_per_op);
   // Mirror into the metrics registry so the JSON snapshot carries the table.
   auto& reg = obs::MetricsRegistry::current();
+  if (bytes_per_op == 0) {
+    const double fastest = reps.back().ns_per_op;
+    const double slowest = reps.front().ns_per_op;
+    std::printf("  %-34s %10.0f ns/op  [%.0f..%.0f]\n", name.c_str(),
+                r.ns_per_op, fastest, slowest);
+    reg.gauge("bench." + name + ".ns_per_op")
+        .set(static_cast<std::int64_t>(r.ns_per_op));
+    reg.gauge("bench." + name + ".ns_per_op_min")
+        .set(static_cast<std::int64_t>(fastest));
+    reg.gauge("bench." + name + ".ns_per_op_max")
+        .set(static_cast<std::int64_t>(slowest));
+    return r;
+  }
+  std::printf("  %-34s %10.1f MB/s  [%.1f..%.1f]  %12.0f ns/op\n",
+              name.c_str(), r.mbps, r.mbps_min, r.mbps_max, r.ns_per_op);
   reg.gauge("bench." + name + ".mbps").set(static_cast<std::int64_t>(r.mbps));
   reg.gauge("bench." + name + ".mbps_min")
       .set(static_cast<std::int64_t>(r.mbps_min));
@@ -372,6 +391,19 @@ int main(int argc, char** argv) {
     reg.counter("channel.replay_rejected");
     reg.counter("channel.mac_failed");
     reg.counter("channel.window_overflow");
+  }
+
+  // --- one X25519 shared secret: the attested setup phase computes one per
+  // ordered pair of enclaves, plus one public key per enclave ---
+  std::printf("\n[x25519, one ladder]\n");
+  {
+    Drbg d(to_bytes("x25519-bench"));
+    Bytes private_key = d.generate(kX25519KeySize);
+    Bytes peer_public = x25519_public(d.generate(kX25519KeySize));
+    measure("x25519_shared", 0, [&] {
+      Bytes shared = x25519_shared(private_key, peer_public);
+      keep(shared.data());
+    });
   }
 
   std::printf("\n[summary]\n");

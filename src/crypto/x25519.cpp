@@ -8,8 +8,8 @@ namespace sgxp2p::crypto {
 namespace {
 
 // Field element in GF(2^255 − 19): five unsigned limbs of 51 bits.
-// Invariant maintained between operations: limbs < 2^52 + small ε, which the
-// 128-bit products in fe_mul tolerate with room to spare.
+// Invariant maintained between operations: limbs < 2^54 (fe_sub's outputs
+// reach about 2^53), the bound fe_mul and fe_sq need.
 using Fe = std::array<std::uint64_t, 5>;
 
 constexpr std::uint64_t kMask51 = (1ULL << 51) - 1;
@@ -30,22 +30,15 @@ Fe fe_sub(const Fe& a, const Fe& b) {
           a[3] + kTwoPi - b[3], a[4] + kTwoPi - b[4]};
 }
 
-Fe fe_mul(const Fe& a, const Fe& b) {
-  using U128 = unsigned __int128;
-  const std::uint64_t b1_19 = b[1] * 19, b2_19 = b[2] * 19,
-                      b3_19 = b[3] * 19, b4_19 = b[4] * 19;
-
-  U128 t0 = (U128)a[0] * b[0] + (U128)a[1] * b4_19 + (U128)a[2] * b3_19 +
-            (U128)a[3] * b2_19 + (U128)a[4] * b1_19;
-  U128 t1 = (U128)a[0] * b[1] + (U128)a[1] * b[0] + (U128)a[2] * b4_19 +
-            (U128)a[3] * b3_19 + (U128)a[4] * b2_19;
-  U128 t2 = (U128)a[0] * b[2] + (U128)a[1] * b[1] + (U128)a[2] * b[0] +
-            (U128)a[3] * b4_19 + (U128)a[4] * b3_19;
-  U128 t3 = (U128)a[0] * b[3] + (U128)a[1] * b[2] + (U128)a[2] * b[1] +
-            (U128)a[3] * b[0] + (U128)a[4] * b4_19;
-  U128 t4 = (U128)a[0] * b[4] + (U128)a[1] * b[3] + (U128)a[2] * b[2] +
-            (U128)a[3] * b[1] + (U128)a[4] * b[0];
-
+// Carries the five 128-bit columns of a product or square down to limbs
+// below 2^51 (limb 1 below 2^51 + 2^13). With input limbs below 2^54, columns
+// t0–t3 stay below 77·2^108 < 2^115 and t4, which takes no factor 19, below
+// 5·2^108, so every carry fits 64 bits and so does 19 times the last one.
+[[gnu::always_inline]] inline Fe fe_reduce(unsigned __int128 t0,
+                                           unsigned __int128 t1,
+                                           unsigned __int128 t2,
+                                           unsigned __int128 t3,
+                                           unsigned __int128 t4) {
   Fe r;
   std::uint64_t carry;
   r[0] = (std::uint64_t)t0 & kMask51; carry = (std::uint64_t)(t0 >> 51);
@@ -64,7 +57,47 @@ Fe fe_mul(const Fe& a, const Fe& b) {
   return r;
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+// a·b, 25 products.
+[[gnu::always_inline]] inline Fe fe_mul(const Fe& a, const Fe& b) {
+  using U128 = unsigned __int128;
+  const std::uint64_t b1_19 = b[1] * 19, b2_19 = b[2] * 19,
+                      b3_19 = b[3] * 19, b4_19 = b[4] * 19;
+
+  U128 t0 = (U128)a[0] * b[0] + (U128)a[1] * b4_19 + (U128)a[2] * b3_19 +
+            (U128)a[3] * b2_19 + (U128)a[4] * b1_19;
+  U128 t1 = (U128)a[0] * b[1] + (U128)a[1] * b[0] + (U128)a[2] * b4_19 +
+            (U128)a[3] * b3_19 + (U128)a[4] * b2_19;
+  U128 t2 = (U128)a[0] * b[2] + (U128)a[1] * b[1] + (U128)a[2] * b[0] +
+            (U128)a[3] * b4_19 + (U128)a[4] * b3_19;
+  U128 t3 = (U128)a[0] * b[3] + (U128)a[1] * b[2] + (U128)a[2] * b[1] +
+            (U128)a[3] * b[0] + (U128)a[4] * b4_19;
+  U128 t4 = (U128)a[0] * b[4] + (U128)a[1] * b[3] + (U128)a[2] * b[2] +
+            (U128)a[3] * b[1] + (U128)a[4] * b[0];
+  return fe_reduce(t0, t1, t2, t3, t4);
+}
+
+// a², 15 products: each cross term a_i·a_j (i ≠ j) is computed once and
+// doubled. Like fe_mul it relies on input limbs below 2^54, which keeps
+// 38·a_i below 2^60 and the columns within fe_reduce's bounds. Inputs coming
+// from fe_sub reach about 2^53.
+[[gnu::always_inline]] inline Fe fe_sq(const Fe& a) {
+  using U128 = unsigned __int128;
+  const std::uint64_t a0_2 = a[0] * 2, a1_2 = a[1] * 2, a2_38 = a[2] * 38,
+                      a3_19 = a[3] * 19, a4_19 = a[4] * 19, a4_38 = a[4] * 38;
+
+  U128 t0 = (U128)a[0] * a[0] + (U128)a[1] * a4_38 + (U128)a[3] * a2_38;
+  U128 t1 = (U128)a0_2 * a[1] + (U128)a[4] * a2_38 + (U128)a[3] * a3_19;
+  U128 t2 = (U128)a0_2 * a[2] + (U128)a[1] * a[1] + (U128)a[3] * a4_38;
+  U128 t3 = (U128)a0_2 * a[3] + (U128)a1_2 * a[2] + (U128)a[4] * a4_19;
+  U128 t4 = (U128)a0_2 * a[4] + (U128)a1_2 * a[3] + (U128)a[2] * a[2];
+  return fe_reduce(t0, t1, t2, t3, t4);
+}
+
+// a^(2^n): n squarings.
+Fe fe_sq_n(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
+}
 
 // a · 121665, the (A − 2)/4 constant of the Montgomery ladder.
 Fe fe_mul121665(const Fe& a) {
@@ -83,19 +116,23 @@ Fe fe_mul121665(const Fe& a) {
   return r;
 }
 
-// z^(p − 2) via square-and-multiply over the fixed exponent 2^255 − 21.
+// z^(p − 2) = z^(2^255 − 21) by the fixed addition chain of ref10 and
+// curve25519-donna: 254 squarings and 11 multiplies. The exponent is public,
+// so the sequence of operations does not depend on z.
 Fe fe_invert(const Fe& z) {
-  // p − 2 in little-endian bytes: eb ff … ff 7f.
-  static constexpr std::uint8_t kExp[32] = {
-      0xeb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
-  Fe result = fe_one();
-  for (int bit = 254; bit >= 0; --bit) {
-    result = fe_sq(result);
-    if ((kExp[bit >> 3] >> (bit & 7)) & 1) result = fe_mul(result, z);
-  }
-  return result;
+  // Names give the exponent of z held: z9 = z^9, z2_5_0 = z^(2^5 − 2^0).
+  Fe z2 = fe_sq(z);
+  Fe z9 = fe_mul(fe_sq_n(z2, 2), z);
+  Fe z11 = fe_mul(z9, z2);
+  Fe z2_5_0 = fe_mul(fe_sq(z11), z9);                      // 2^5 − 1
+  Fe z2_10_0 = fe_mul(fe_sq_n(z2_5_0, 5), z2_5_0);         // 2^10 − 1
+  Fe z2_20_0 = fe_mul(fe_sq_n(z2_10_0, 10), z2_10_0);      // 2^20 − 1
+  Fe z2_40_0 = fe_mul(fe_sq_n(z2_20_0, 20), z2_20_0);      // 2^40 − 1
+  Fe z2_50_0 = fe_mul(fe_sq_n(z2_40_0, 10), z2_10_0);      // 2^50 − 1
+  Fe z2_100_0 = fe_mul(fe_sq_n(z2_50_0, 50), z2_50_0);     // 2^100 − 1
+  Fe z2_200_0 = fe_mul(fe_sq_n(z2_100_0, 100), z2_100_0);  // 2^200 − 1
+  Fe z2_250_0 = fe_mul(fe_sq_n(z2_200_0, 50), z2_50_0);    // 2^250 − 1
+  return fe_mul(fe_sq_n(z2_250_0, 5), z11);                // 2^255 − 21
 }
 
 Fe fe_frombytes(const std::uint8_t* s) {

@@ -37,8 +37,8 @@ PeerEnclave::PeerEnclave(sgx::SgxPlatform& platform, sgx::CpuId cpu,
 }
 
 Bytes PeerEnclave::handshake_blob() {
-  Bytes dh_public = crypto::x25519_public(dh_private_);
-  sgx::Quote q = quote(dh_public);
+  if (dh_public_.empty()) dh_public_ = crypto::x25519_public(dh_private_);
+  sgx::Quote q = quote(dh_public_);
   return channel::make_handshake(cfg_.self, std::move(q)).serialize();
 }
 

@@ -174,6 +174,10 @@ class PeerEnclave : public sgx::Enclave {
   PeerConfig cfg_;
   const sgx::SimIAS* ias_;
   Bytes dh_private_;
+  // x25519_public(dh_private_), derived on the first handshake_blob() call:
+  // recovery asks every live peer for its blob at each relaunch. Not derived
+  // in the constructor, because accounted-mode enclaves never handshake.
+  Bytes dh_public_;
   std::uint64_t my_seq_;
   std::unordered_map<NodeId, channel::SecureLink> links_;
   std::vector<NodeId> fast_peers_;  // kAccounted membership

@@ -347,6 +347,55 @@ TEST(X25519, RandomKeyAgreement) {
   }
 }
 
+namespace {
+X25519Key u_coordinate(std::uint8_t low) {
+  X25519Key u{};
+  u[0] = low;
+  return u;
+}
+}  // namespace
+
+TEST(X25519, Rfc7748Iterated) {
+  // RFC 7748 §5.2: k = u = 9, then k, u ← x25519(k, u), k. Each ladder's
+  // output feeds the next, so one wrong limb anywhere shows at the end.
+  // The 1,000,000-iteration vector is too slow for tier-1.
+  X25519Key k = u_coordinate(9), u = k;
+  for (int i = 1; i <= 1000; ++i) {
+    X25519Key r = x25519(k, u);
+    u = k;
+    k = r;
+    if (i == 1) {
+      EXPECT_EQ(
+          hex_encode(ByteView(k.data(), k.size())),
+          "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(hex_encode(ByteView(k.data(), k.size())),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+TEST(X25519, ZeroPointGivesZero) {
+  X25519Key k = u_coordinate(9);
+  k[17] = 0xa5;
+  EXPECT_EQ(x25519(k, u_coordinate(0)), X25519Key{});
+}
+
+TEST(X25519, NonCanonicalPointMatchesReduced) {
+  // RFC 7748 §5: implementations accept non-canonical u (≥ p) and mask
+  // bit 255. p + 9 = 2^255 − 10 and 9 + 2^255 both reduce to u = 9.
+  X25519Key k = u_coordinate(9);
+  k[31] = 0x42;
+  const X25519Key expected = x25519(k, u_coordinate(9));
+  X25519Key p_plus_9;
+  p_plus_9.fill(0xff);
+  p_plus_9[0] = 0xf6;
+  p_plus_9[31] = 0x7f;
+  EXPECT_EQ(x25519(k, p_plus_9), expected);
+  X25519Key top_bit_set = u_coordinate(9);
+  top_bit_set[31] = 0x80;
+  EXPECT_EQ(x25519(k, top_bit_set), expected);
+}
+
 // --- WOTS ---
 
 TEST(Wots, SignVerify) {

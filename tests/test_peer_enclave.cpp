@@ -21,6 +21,17 @@ TEST(PeerEnclave, HandshakeGarbageRejected) {
   EXPECT_FALSE(bed.enclave(1).accept_handshake({}));
 }
 
+TEST(PeerEnclave, HandshakeBlobStableAcrossCalls) {
+  // Recovery re-attestation asks a live peer for its blob again after
+  // setup; the DH public key is derived once and the blob must not change.
+  sim::Testbed bed(small_config(3, 1));
+  bed.build(erb_factory(0, to_bytes("m")));
+  ASSERT_EQ(bed.config().mode, protocol::ChannelMode::kAttested);
+  Bytes first = bed.enclave(0).handshake_blob();
+  EXPECT_EQ(bed.enclave(0).handshake_blob(), first);
+  EXPECT_TRUE(bed.enclave(1).accept_handshake(first));
+}
+
 TEST(PeerEnclave, SeqBlobFromWrongSenderRejected) {
   sim::Testbed bed(small_config(3, 2));
   bed.build(erb_factory(0, to_bytes("m")));
