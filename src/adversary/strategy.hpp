@@ -66,12 +66,20 @@ class Strategy {
   }
 
   [[nodiscard]] virtual bool is_byzantine() const { return true; }
+
+  /// True when on_send and on_receive are exactly the faithful defaults, so
+  /// the host may move a blob without handing it to the strategy. Then one
+  /// immutable buffer can serve every recipient of a fan-out. A strategy
+  /// that returns false gets its own copy of each blob through on_send and
+  /// on_receive, and may keep, change or drop it.
+  [[nodiscard]] virtual bool transparent() const { return false; }
 };
 
 /// The honest OS: transfers everything faithfully.
 class HonestStrategy final : public Strategy {
  public:
   [[nodiscard]] bool is_byzantine() const override { return false; }
+  [[nodiscard]] bool transparent() const override { return true; }
 };
 
 }  // namespace sgxp2p::adversary

@@ -8,12 +8,14 @@ Host::Host(NodeId self, sim::Network& network,
     : self_(self),
       network_(&network),
       strategy_(std::move(strategy)),
+      transparent_(strategy_->transparent()),
       rng_(rng_seed) {}
 
 void Host::connect() {
-  network_->attach(self_, [this](NodeId from, Bytes blob) {
-    on_network(from, std::move(blob));
-  });
+  network_->attach(
+      self_,
+      [this](NodeId from, Bytes blob) { on_network(from, std::move(blob)); },
+      [this](NodeId from, ByteView blob) { on_network_shared(from, blob); });
 }
 
 }  // namespace sgxp2p::net

@@ -4,6 +4,9 @@
 // touches the network; the enclave is the only component that sees
 // plaintext. The host routes blobs through its Strategy, which is where
 // byzantine behavior lives — an honest node simply carries HonestStrategy.
+// A blob the enclave or the network shares among several recipients skips
+// a transparent (honest) strategy: the host moves it without a copy. Every
+// other strategy gets a copy of its own.
 #pragma once
 
 #include <memory>
@@ -45,10 +48,25 @@ class Host final : public sgx::EnclaveHostIface, public adversary::HostContext {
   void transfer(NodeId to, Bytes blob) override {
     strategy_->on_send(*this, to, std::move(blob));
   }
+  void transfer_shared(NodeId to, std::shared_ptr<const Bytes> blob) override {
+    if (transparent_) {
+      network_->send_shared(self_, to, std::move(blob));
+    } else {
+      strategy_->on_send(*this, to, pooled_copy(*blob));
+    }
+  }
 
-  // --- network sink ---
+  // --- network sinks ---
   void on_network(NodeId from, Bytes blob) {
     strategy_->on_receive(*this, from, std::move(blob));
+  }
+  /// A payload other recipients read too: only a copy may leave this call.
+  void on_network_shared(NodeId from, ByteView blob) {
+    if (!transparent_) {
+      strategy_->on_receive(*this, from, pooled_copy(blob));
+    } else if (enclave_ != nullptr) {
+      enclave_->ecall_deliver(from, blob);
+    }
   }
 
   // --- adversary::HostContext ---
@@ -75,9 +93,16 @@ class Host final : public sgx::EnclaveHostIface, public adversary::HostContext {
   Rng& rng() override { return rng_; }
 
  private:
+  static Bytes pooled_copy(ByteView blob) {
+    Bytes copy = obs::BufferPool::local().acquire_empty(blob.size());
+    copy.assign(blob.begin(), blob.end());
+    return copy;
+  }
+
   NodeId self_;
   sim::Network* network_;
   std::unique_ptr<adversary::Strategy> strategy_;
+  bool transparent_;  // strategy_->transparent(), read once
   sgx::Enclave* enclave_ = nullptr;
   std::vector<NodeId> colluders_;
   Rng rng_;

@@ -47,12 +47,12 @@ const Network::Sink* Network::find_sink(NodeId id) const {
   return it != sinks_far_.end() ? &it->second : nullptr;
 }
 
-void Network::attach(NodeId id, DeliverFn sink) {
-  sink_slot(id) = Sink{std::move(sink), nullptr};
+void Network::attach(NodeId id, DeliverFn sink, DeliverViewFn shared_sink) {
+  sink_slot(id) = Sink{std::move(sink), nullptr, std::move(shared_sink)};
 }
 
 void Network::attach_view(NodeId id, DeliverViewFn sink) {
-  sink_slot(id) = Sink{nullptr, std::move(sink)};
+  sink_slot(id) = Sink{nullptr, std::move(sink), nullptr};
 }
 
 namespace {
@@ -237,23 +237,25 @@ void Network::send(NodeId from, NodeId to, Bytes blob) {
       r.arrival, handler_, Delivery{from, to, r.span, std::move(blob), nullptr});
 }
 
+void Network::send_shared(NodeId from, NodeId to,
+                          std::shared_ptr<const Bytes> blob) {
+  if (!attached(from) || !attached(to) || from == to) return;
+  SimTime now = simulator_->now();
+  if (!blocked_.empty() && link_blocked(from, to)) {
+    dropped_ctr_.inc();
+    obs::trace_event(now, from, "net", "cut_drop", obs::fnum("to", to));
+    return;
+  }
+  Routed r = route(from, to, blob->size(), now);
+  simulator_->schedule_delivery(
+      r.arrival, handler_,
+      Delivery{from, to, r.span, Bytes{}, std::move(blob)});
+}
+
 void Network::multicast(NodeId from, const std::vector<NodeId>& group,
                         Bytes payload) {
-  if (!attached(from)) return;
   auto shared = std::make_shared<const Bytes>(std::move(payload));
-  for (NodeId to : group) {
-    if (to == from || !attached(to)) continue;
-    if (!blocked_.empty() && link_blocked(from, to)) {
-      dropped_ctr_.inc();
-      obs::trace_event(simulator_->now(), from, "net", "cut_drop",
-                       obs::fnum("to", to));
-      continue;
-    }
-    SimTime now = simulator_->now();
-    Routed r = route(from, to, shared->size(), now);
-    simulator_->schedule_delivery(r.arrival, handler_,
-                                  Delivery{from, to, r.span, Bytes{}, shared});
-  }
+  for (NodeId to : group) send_shared(from, to, shared);
 }
 
 void Network::on_delivery(Delivery&& d) {
@@ -281,6 +283,8 @@ void Network::on_delivery(Delivery&& d) {
     sink.view(d.from, d.view());
     // A view sink only borrowed the bytes; recycle owned buffers.
     if (!d.payload.empty()) obs::BufferPool::local().release(std::move(d.payload));
+  } else if (d.shared && sink.shared) {
+    sink.shared(d.from, *d.shared);
   } else if (d.shared) {
     // Owned sink + shared payload: this receiver needs its own copy.
     Bytes blob = obs::BufferPool::local().acquire_empty(d.shared->size());

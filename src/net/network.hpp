@@ -11,8 +11,9 @@
 // of per-message closures: one registered dispatcher routes every arrival
 // to the receiver's sink. Sinks come in two flavors — owned (the Host path:
 // the receiver takes the buffer) and view (plaintext baselines: the
-// receiver only reads, so a multicast can share one refcounted payload
-// across the whole group).
+// receiver only reads). A payload sent shared (send_shared, multicast) is
+// one refcounted buffer for every recipient: a view sink reads it, an owned
+// sink reads it through its optional shared sink, or else gets a copy.
 //
 // An optional shared-link bandwidth model reproduces the paper's testbed
 // artifact (40 machines behind one 128 MB/s link): when enabled, messages
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -106,8 +108,10 @@ class Network {
           obs::MetricsRegistry& registry = obs::MetricsRegistry::current());
 
   /// Registers the inbound sink for `id` (the node's Host): the sink takes
-  /// ownership of each delivered buffer.
-  void attach(NodeId id, DeliverFn sink);
+  /// ownership of each delivered buffer. A payload sent shared goes to
+  /// `shared_sink` as a view of the one buffer all its recipients read;
+  /// without a shared sink, `sink` gets a copy of it.
+  void attach(NodeId id, DeliverFn sink, DeliverViewFn shared_sink = nullptr);
 
   /// Registers a read-only sink for `id`: the network keeps buffer
   /// ownership (recycling it through the BufferPool) and multicast
@@ -123,9 +127,12 @@ class Network {
   /// Sends `blob` from → to with delay ≤ worst_delay(). Metered.
   void send(NodeId from, NodeId to, Bytes blob);
 
-  /// Sends the same payload from → each of `group` (self and detached ids
-  /// skipped). Metering, jitter, and FIFO behave exactly as |group|
-  /// individual sends, but all deliveries share one refcounted buffer.
+  /// send() of an immutable buffer that other sends may share: the same
+  /// checks, drops, metering and trace events, without a copy.
+  void send_shared(NodeId from, NodeId to, std::shared_ptr<const Bytes> blob);
+
+  /// send_shared() of one payload from → each of `group` in order (self and
+  /// detached ids skipped).
   void multicast(NodeId from, const std::vector<NodeId>& group,
                  Bytes payload);
 
@@ -162,6 +169,7 @@ class Network {
   struct Sink {
     DeliverFn owned;
     DeliverViewFn view;
+    DeliverViewFn shared;  // shared payloads for an owned sink
 
     [[nodiscard]] bool attached() const {
       return static_cast<bool>(owned) || static_cast<bool>(view);

@@ -57,6 +57,26 @@ void ErbInstance::multicast(Val val, std::uint32_t global_round, Sends& out) {
   out.multicasts.push_back(std::move(val));
 }
 
+void ErbInstance::ack(NodeId to, const Val& val, std::uint32_t global_round,
+                      Sends& out) {
+  const bool carries_m = m_ && val.payload == *m_;
+  Bytes hash;
+  if (carries_m && !ack_memo_.hash.empty() && ack_memo_.type == val.type &&
+      ack_memo_.initiator == val.initiator && ack_memo_.seq == val.seq &&
+      ack_memo_.round == val.round) {
+    hash = ack_memo_.hash;
+  } else {
+    serialize_into(val, hash_scratch_);
+    hash = crypto::Sha256::hash_bytes(hash_scratch_);
+    if (carries_m) {
+      ack_memo_ = AckMemo{val.type, val.initiator, val.seq, val.round, hash};
+    }
+  }
+  out.unicasts.push_back(Send{to, Val{MsgType::kAck, cfg_.instance.initiator,
+                                      cfg_.instance.epoch, global_round,
+                                      std::move(hash)}});
+}
+
 void ErbInstance::maybe_accept(std::uint32_t instance_rnd) {
   if (accepted_) return;
   if (s_echo_.size() >= accept_threshold_) {
@@ -131,10 +151,6 @@ ErbInstance::Sends ErbInstance::on_val(NodeId from, const Val& val,
       // sequence number (P6) is treated as an omitted message.
       if (from != cfg_.instance.initiator) break;
       if (val.round != global_round || val.seq != cfg_.instance.epoch) break;
-      serialize_into(val, hash_scratch_);
-      Val ack{MsgType::kAck, cfg_.instance.initiator, cfg_.instance.epoch,
-              global_round, crypto::Sha256::hash_bytes(hash_scratch_)};
-      sends.unicasts.push_back(Send{from, std::move(ack)});
       if (!m_) {
         m_ = val.payload;
         s_echo_.insert(static_cast<std::size_t>(initiator_rank_));
@@ -143,20 +159,18 @@ ErbInstance::Sends ErbInstance::on_val(NodeId from, const Val& val,
         echo_cause_ = obs::TraceRecorder::global().current_cause();
         maybe_accept(rnd);
       }
+      ack(from, val, global_round, sends);
       break;
     }
     case MsgType::kEcho: {
       if (val.round != global_round || val.seq != cfg_.instance.epoch) break;
-      serialize_into(val, hash_scratch_);
-      Val ack{MsgType::kAck, cfg_.instance.initiator, cfg_.instance.epoch,
-              global_round, crypto::Sha256::hash_bytes(hash_scratch_)};
-      sends.unicasts.push_back(Send{from, std::move(ack)});
       if (!m_) {
         m_ = val.payload;
         s_echo_.insert(static_cast<std::size_t>(self_rank_));
         echo_due_round_ = rnd + 1;
         echo_cause_ = obs::TraceRecorder::global().current_cause();
       }
+      ack(from, val, global_round, sends);
       s_echo_.insert(static_cast<std::size_t>(from_rank));
       maybe_accept(rnd);
       break;

@@ -129,6 +129,8 @@ class ErbInstance {
   /// Appends a group-wide multicast of `val` to `out` and registers the
   /// pending-ACK expectation for `global_round`.
   void multicast(Val val, std::uint32_t global_round, Sends& out);
+  /// Appends ⟨ACK, id_init, seq, H(val), rnd⟩ for `val` to `out`.
+  void ack(NodeId to, const Val& val, std::uint32_t global_round, Sends& out);
   void maybe_accept(std::uint32_t instance_rnd);
 
   ErbConfig cfg_;
@@ -140,6 +142,17 @@ class ErbInstance {
   bool contiguous_ = false;  // participants are first_ .. first_ + n − 1
   NodeId first_ = 0;
   Bytes hash_scratch_;       // serialize-for-hash reuse (one per ACK)
+  // H(val) of the last acknowledged val whose payload was m̄. Every ECHO of
+  // an instance round serializes to the same bytes (a val names no
+  // sender), so the header plus "payload == m̄" identifies them all.
+  struct AckMemo {
+    MsgType type = MsgType::kInit;
+    NodeId initiator = kNoNode;
+    std::uint64_t seq = 0;
+    std::uint32_t round = 0;
+    Bytes hash;  // empty: no memo yet
+  };
+  AckMemo ack_memo_;
 
   std::optional<Bytes> m_;              // m̄, the stored message
   RankSet s_echo_;                      // S_echo (distinct count only)

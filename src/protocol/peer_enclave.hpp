@@ -10,12 +10,19 @@
 //                quotes, AEAD-sealed transport, replay windows. Used by all
 //                tests and the byzantine benchmarks.
 //   kAccounted — large-scale benchmark mode: payloads travel with the same
-//                on-wire size (the AEAD overhead is padded in) but without
-//                the cipher work, so O(N³) message counts stay simulable.
-//                Security-irrelevant by construction (honest-only benches).
+//                on-wire size (the AEAD overhead is padded in as zeros) but
+//                without the cipher work, so O(N³) message counts stay
+//                simulable. Equal plaintexts therefore seal to equal blobs:
+//                each distinct one is sealed once into an immutable shared
+//                buffer that every recipient of a fan-out and every ACK of
+//                an instance round reuse. An honest host moves it without a
+//                copy and the receiving enclave parses it in place. No MAC
+//                and no replay window: a corrupted or replayed blob reaches
+//                the protocol as it is.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -167,7 +174,16 @@ class PeerEnclave : public sgx::Enclave {
 
  private:
   Bytes seal_for(NodeId to, ByteView plaintext);
+  /// kAttested: the plaintext of `blob` if the link from `from` opens it.
   std::optional<Bytes> open_from(NodeId from, ByteView blob);
+  /// kAccounted: the sealed form of wire_scratch_ as an immutable blob,
+  /// reused while the serialized bytes repeat (a fan-out, the ACKs of one
+  /// instance round). nullptr in kAttested, where every link seals its own.
+  std::shared_ptr<const Bytes> accounted_blob();
+  /// Seals wire_scratch_ for `to`, or sends `shared` when it is set, and
+  /// transfers the blob with its send accounting.
+  void transfer_val(NodeId to, const Val& val,
+                    const std::shared_ptr<const Bytes>& shared);
   /// Shared send accounting: SendStats, registry counters, trace event.
   void account_send(const Val& val, NodeId to, std::size_t wire_bytes);
 
@@ -187,6 +203,7 @@ class PeerEnclave : public sgx::Enclave {
   SimTime start_time_ = 0;
   SendStats send_stats_;
   Bytes wire_scratch_;  // reused Val serialization buffer (send/broadcast)
+  std::shared_ptr<const Bytes> accounted_blob_;  // last accounted_blob()
   // Cached registry handles for the send hot path.
   const char* obs_ns_;
   obs::Counter* type_counters_[SendStats::kTypeSlots] = {};

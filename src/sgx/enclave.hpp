@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "common/bytes.hpp"
@@ -40,6 +41,12 @@ class EnclaveHostIface {
   /// Asks the host to transfer an opaque blob to peer `to`. The host may
   /// drop, delay, or replay it; it cannot decrypt or undetectably modify it.
   virtual void transfer(NodeId to, Bytes blob) = 0;
+  /// The same for an immutable blob the enclave hands to several peers.
+  /// A host that can move it without copying overrides this; the default
+  /// gives transfer() a copy.
+  virtual void transfer_shared(NodeId to, std::shared_ptr<const Bytes> blob) {
+    transfer(to, Bytes(blob->begin(), blob->end()));
+  }
 };
 
 class Enclave {
@@ -119,16 +126,28 @@ class Enclave {
   /// message's arrival time, so a fan-out of k sends pays k serialized
   /// transitions.
   void ocall_transfer(NodeId to, Bytes blob) {
+    account_ocall();
+    host_->transfer(to, std::move(blob));
+  }
+  /// The same OCALL for a blob shared by several transfers: still one
+  /// metered exit per recipient.
+  void ocall_transfer_shared(NodeId to, std::shared_ptr<const Bytes> blob) {
+    account_ocall();
+    host_->transfer_shared(to, std::move(blob));
+  }
+
+ private:
+  /// Meters one transfer OCALL (sgx.ocalls, and virtual cost when the run's
+  /// cost model is on).
+  void account_ocall() {
     const SimDuration cost = platform_->transitions().ocall(transition_carry_);
     if (cost > 0) {
       obs::trace_event(trusted_time(), static_cast<std::uint32_t>(cpu_),
                        "sgx", "ocall", obs::fstr("kind", "transfer"),
                        obs::fnum("cost_ms", cost));
     }
-    host_->transfer(to, std::move(blob));
   }
 
- private:
   SgxPlatform* platform_;
   CpuId cpu_;
   Measurement measurement_;

@@ -4,6 +4,8 @@
 // honest and byzantine conditions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testbed_util.hpp"
 
 namespace sgxp2p {
@@ -260,6 +262,40 @@ TEST(Erb, DelayedInitiatorIsExcludedByLockstep) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);
     EXPECT_FALSE(r.value.has_value()) << "node " << id;
+  }
+}
+
+// --- Accounted channels: one shared blob per fan-out ---
+
+// Scribbles over every blob it receives, then drops it.
+class ScribbleStrategy final : public adversary::Strategy {
+ public:
+  void on_receive(adversary::HostContext&, NodeId, Bytes blob) override {
+    std::fill(blob.begin(), blob.end(), std::uint8_t{0xA5});
+  }
+};
+
+TEST(Erb, AccountedScribblerCannotTouchSharedBlobs) {
+  // Honest hosts pass one shared buffer per fan-out to their enclaves; a
+  // host that handles blobs itself must get a copy, or its writes would
+  // reach every later recipient of the same buffer.
+  const std::uint32_t n = 7;
+  auto cfg = small_config(n, 17);
+  cfg.mode = protocol::ChannelMode::kAccounted;
+  sim::Testbed bed(cfg);
+  bed.build(erb_factory(0, msg()), [](NodeId id) {
+    return id == 3 ? std::make_unique<ScribbleStrategy>()
+                   : std::unique_ptr<adversary::Strategy>{};
+  });
+  bed.start();
+  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  ASSERT_EQ(bed.honest_nodes().size(), n - 1);
+  for (NodeId id : bed.honest_nodes()) {
+    const auto& r = bed.enclave_as<ErbNode>(id).result();
+    ASSERT_TRUE(r.decided) << "node " << id;
+    ASSERT_TRUE(r.value.has_value()) << "node " << id;
+    EXPECT_EQ(*r.value, msg()) << "node " << id;
+    EXPECT_EQ(r.round, 2u) << "node " << id;
   }
 }
 

@@ -115,6 +115,34 @@ TEST(ErbInstance, ValidInitIsAckedAndEchoScheduled) {
   EXPECT_EQ(round2.multicasts[0].round, 2u);
 }
 
+TEST(ErbInstance, AckHashIsHashOfTheValAcked) {
+  // Each ACK must carry H(serialize(val)) of the val it answers, whatever
+  // the instance remembers from earlier ACKs.
+  ErbInstance inst(base_config(3, 7, 3));
+  const auto expect_acked = [&inst](NodeId from, const Val& val) {
+    auto sends = inst.on_val(from, val, val.round);
+    ASSERT_EQ(sends.unicasts.size(), 1u);
+    const Val& ack = sends.unicasts[0].val;
+    EXPECT_EQ(sends.unicasts[0].to, from);
+    EXPECT_EQ(ack.type, MsgType::kAck);
+    EXPECT_EQ(ack.round, val.round);
+    EXPECT_EQ(ack.payload, crypto::Sha256::hash_bytes(serialize(val)));
+  };
+  const Val first = echo_val(1);
+  const Val other = echo_val(1, 42, to_bytes("m'"));
+  expect_acked(1, first);
+  expect_acked(2, first);
+  expect_acked(4, first);
+  expect_acked(5, other);  // same header, different payload
+  expect_acked(6, first);
+  // An INIT and an ECHO with the same payload hash differently.
+  const Val init = init_val(1);
+  expect_acked(0, init);
+  expect_acked(1, first);
+  EXPECT_NE(crypto::Sha256::hash_bytes(serialize(init)),
+            crypto::Sha256::hash_bytes(serialize(first)));
+}
+
 TEST(ErbInstance, StaleRoundInitDropped) {
   // P5: message tagged round 1 arriving during round 2 is an omission.
   ErbInstance inst(base_config(3, 5, 2));
