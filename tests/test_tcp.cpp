@@ -43,11 +43,14 @@ std::uint64_t counter_value(const obs::MetricsRegistry& reg,
 
 /// A framed header as the wire expects it: u32 len ‖ u32 from ‖ u32 to.
 Bytes raw_frame(std::uint32_t len, NodeId from, NodeId to, Bytes payload) {
-  Bytes raw(12);
-  store_le32(raw.data(), len);
-  store_le32(raw.data() + 4, from);
-  store_le32(raw.data() + 8, to);
-  raw.insert(raw.end(), payload.begin(), payload.end());
+  std::uint8_t header[12];
+  store_le32(header, len);
+  store_le32(header + 4, from);
+  store_le32(header + 8, to);
+  Bytes raw;
+  raw.reserve(sizeof header + payload.size());
+  append(raw, ByteView(header, sizeof header));
+  append(raw, payload);
   return raw;
 }
 
