@@ -93,29 +93,41 @@ void Testbed::run_setup() {
     }
     return all;
   };
-  if (cfg_.mode == protocol::ChannelMode::kAttested) {
-    std::vector<Bytes> hello(cfg_.n);  // computed lazily: sparse setups
-    for (NodeId a = 0; a < cfg_.n; ++a) {
-      for (NodeId b : peers_of(a)) {
-        if (a == b) continue;
-        if (hello[a].empty()) hello[a] = enclaves_[a]->handshake_blob();
-        bool ok = enclaves_[b]->accept_handshake(hello[a]);
-        CHECK_MSG(ok, "Testbed: attested handshake failed");
-      }
-    }
-  } else {
-    for (NodeId a = 0; a < cfg_.n; ++a) {
-      for (NodeId b : peers_of(a)) {
-        if (a != b) enclaves_[a]->install_fast_link(b);
-      }
-    }
-  }
-  // Initial instance-sequence exchange (P6), over the sealed links.
+  // Links go in sender by sender. The exchange below runs receiver by
+  // receiver, so it needs the inverse: every node that sets up b,
+  // ascending. The clique is its own inverse; a custom topology is
+  // inverted in this pass, once and in O(edges).
+  std::vector<std::vector<NodeId>> inverse(cfg_.setup_peers ? cfg_.n : 0);
+  const auto senders_of = [&](NodeId b) {
+    return cfg_.setup_peers ? std::move(inverse[b]) : peers_of(b);
+  };
+  std::vector<Bytes> hello(cfg_.n);  // computed lazily: sparse setups
   for (NodeId a = 0; a < cfg_.n; ++a) {
     for (NodeId b : peers_of(a)) {
       if (a == b) continue;
-      Bytes blob = enclaves_[a]->make_seq_blob(b);
-      bool ok = enclaves_[b]->accept_seq_blob(a, blob);
+      if (cfg_.mode == protocol::ChannelMode::kAttested) {
+        if (hello[a].empty()) hello[a] = enclaves_[a]->handshake_blob();
+        bool ok = enclaves_[b]->accept_handshake(hello[a]);
+        CHECK_MSG(ok, "Testbed: attested handshake failed");
+      } else {
+        enclaves_[a]->install_fast_link(b);
+      }
+      if (cfg_.setup_peers) inverse[b].push_back(a);
+    }
+  }
+  // Initial instance-sequence exchange (P6), over the sealed links. Each
+  // receiver accepts from all of its senders in a row, so its sequence
+  // table fills in id order (appends) while it is in cache. A sender whose
+  // SETUP blob is the same for every recipient (accounted links) builds it
+  // once; attested links seal one blob per pair.
+  std::vector<std::shared_ptr<const Bytes>> shared(cfg_.n);
+  for (NodeId b = 0; b < cfg_.n; ++b) {
+    for (NodeId a : senders_of(b)) {
+      if (!shared[a]) shared[a] = enclaves_[a]->shared_seq_blob();
+      bool ok = shared[a] != nullptr
+                    ? enclaves_[b]->accept_seq_blob(a, *shared[a])
+                    : enclaves_[b]->accept_seq_blob(
+                          a, enclaves_[a]->make_seq_blob(b));
       CHECK_MSG(ok, "Testbed: sequence exchange failed");
     }
   }

@@ -151,6 +151,11 @@ class Testbed {
   [[nodiscard]] std::vector<NodeId> honest_nodes() const;
 
  private:
+  /// The paper's setup phase over cfg_.setup_peers (default: the clique):
+  /// links go in sender by sender, then the initial sequence exchange runs
+  /// receiver by receiver, with one shared SETUP blob per sender where the
+  /// channel mode allows it (accounted) and one sealed blob per pair where
+  /// it does not (attested).
   void run_setup();
 
   TestbedConfig cfg_;

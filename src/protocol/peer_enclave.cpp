@@ -37,6 +37,11 @@ std::optional<Val> accounted_open(ByteView blob) {
   if (blob.size() < crypto::kAeadOverhead) return std::nullopt;
   return parse_val(blob.subspan(crypto::kAeadOverhead));
 }
+
+/// lower_bound order of the id-sorted peer sequence table.
+constexpr auto kIdLess = [](const auto& entry, NodeId id) {
+  return entry.id < id;
+};
 }  // namespace
 
 PeerEnclave::PeerEnclave(sgx::SgxPlatform& platform, sgx::CpuId cpu,
@@ -77,13 +82,24 @@ void PeerEnclave::install_fast_link(NodeId peer) {
   if (peer != cfg_.self) fast_peers_.push_back(peer);
 }
 
-Bytes PeerEnclave::make_seq_blob(NodeId to) {
+void PeerEnclave::serialize_setup() {
   Val val;
   val.type = MsgType::kSetup;
   val.initiator = cfg_.self;
   val.seq = my_seq_;
   val.round = 0;
-  return seal_for(to, serialize(val));
+  serialize_into(val, wire_scratch_);
+}
+
+Bytes PeerEnclave::make_seq_blob(NodeId to) {
+  serialize_setup();
+  return seal_for(to, wire_scratch_);
+}
+
+std::shared_ptr<const Bytes> PeerEnclave::shared_seq_blob() {
+  if (cfg_.mode != ChannelMode::kAccounted) return nullptr;
+  serialize_setup();
+  return accounted_blob();
 }
 
 bool PeerEnclave::accept_seq_blob(NodeId from, ByteView blob) {
@@ -98,7 +114,7 @@ bool PeerEnclave::accept_seq_blob(NodeId from, ByteView blob) {
   if (!val || val->type != MsgType::kSetup || val->initiator != from) {
     return false;
   }
-  peer_seq_[from] = val->seq;
+  install_peer_seq(from, val->seq);
   return true;
 }
 
@@ -175,14 +191,33 @@ void PeerEnclave::deliver(NodeId from, ByteView blob) {
 std::optional<std::uint64_t> PeerEnclave::expected_seq(
     NodeId initiator) const {
   if (initiator == cfg_.self) return my_seq_;
-  auto it = peer_seq_.find(initiator);
-  if (it == peer_seq_.end()) return std::nullopt;
-  return it->second;
+  auto it = std::lower_bound(peer_seq_.begin(), peer_seq_.end(), initiator,
+                             kIdLess);
+  if (it == peer_seq_.end() || it->id != initiator) return std::nullopt;
+  return it->seq;
+}
+
+void PeerEnclave::put_seq(std::vector<PeerSeq>& table, NodeId id,
+                          std::uint64_t seq) {
+  // Setup installs N−1 entries per enclave, ~N² in all, always in
+  // ascending id order, so that case appends in O(1) with no search. Any
+  // other order inserts in place and moves the entries above: fine for a
+  // membership join, but it would turn the O(N²) setup into O(N³).
+  if (table.empty() || table.back().id < id) {
+    table.push_back({id, seq});
+    return;
+  }
+  auto it = std::lower_bound(table.begin(), table.end(), id, kIdLess);
+  if (it != table.end() && it->id == id) {
+    it->seq = seq;
+  } else {
+    table.insert(it, {id, seq});
+  }
 }
 
 void PeerEnclave::bump_all_seqs() {
   ++my_seq_;
-  for (auto& [id, seq] : peer_seq_) ++seq;
+  for (PeerSeq& entry : peer_seq_) ++entry.seq;
 }
 
 void PeerEnclave::account_send(const Val& val, NodeId to,
@@ -262,14 +297,11 @@ Bytes PeerEnclave::export_core_state() const {
   BinaryWriter w;
   w.str("sgxp2p-core-v1");
   w.u64(my_seq_);
-  // Name-sorted serialization so same-seed checkpoints are byte-identical.
-  std::vector<std::pair<NodeId, std::uint64_t>> seqs(peer_seq_.begin(),
-                                                     peer_seq_.end());
-  std::sort(seqs.begin(), seqs.end());
-  w.u32(static_cast<std::uint32_t>(seqs.size()));
-  for (const auto& [id, seq] : seqs) {
-    w.u32(id);
-    w.u64(seq);
+  // The table is id-sorted, so same-seed checkpoints are byte-identical.
+  w.u32(static_cast<std::uint32_t>(peer_seq_.size()));
+  for (const PeerSeq& entry : peer_seq_) {
+    w.u32(entry.id);
+    w.u64(entry.seq);
   }
   std::vector<NodeId> link_ids = peers();
   w.u32(static_cast<std::uint32_t>(
@@ -286,11 +318,20 @@ bool PeerEnclave::import_core_state(ByteView data) {
   std::uint64_t my_seq = r.u64();
   std::uint32_t n_seqs = r.u32();
   if (!r.ok() || n_seqs > 1 << 20) return false;
-  std::unordered_map<NodeId, std::uint64_t> seqs;
-  for (std::uint32_t i = 0; i < n_seqs; ++i) {
+  // export_core_state writes ids ascending. Any other order is sorted
+  // here, stably, so a repeated id keeps its last entry.
+  std::vector<PeerSeq> entries;
+  for (std::uint32_t i = 0; i < n_seqs && r.ok(); ++i) {
     NodeId id = r.u32();
-    seqs[id] = r.u64();
+    entries.push_back({id, r.u64()});
   }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const PeerSeq& x, const PeerSeq& y) {
+                     return x.id < y.id;
+                   });
+  std::vector<PeerSeq> seqs;
+  seqs.reserve(entries.size());
+  for (const PeerSeq& entry : entries) put_seq(seqs, entry.id, entry.seq);
   std::uint32_t n_links = r.u32();
   if (!r.ok() || n_links > 1 << 20) return false;
   std::unordered_map<NodeId, channel::SecureLink> links;
