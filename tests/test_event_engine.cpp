@@ -317,7 +317,7 @@ TEST(EventEngineGolden, ErbAccounted) {
   expect_golden(
       run_erb_accounted(),
       "016675b2133f720a9424577668a073cb50cf959af9bcee618099b9f1c93e6d51",
-      "83fac115f9fcbfd64e85e0ac7c6cd623d200af54384adaf36b263c0dd5cc9ec2");
+      "1641b795fdd3154db6365ef772d70e2f8e89c3835adeb2356f63bb10887efd5f");
 }
 
 TEST(EventEngineGolden, ErngBasic) {
