@@ -1,16 +1,14 @@
 // bench_micro — crypto primitive throughput (the costs behind Section 6's
-// implementation remarks, plus the speedups this repo's hot-path work buys).
+// implementation remarks).
 //
 // Self-contained chrono harness (no external benchmark framework) so it can
-// emit the same metrics-JSON contract as the figure benches. Two baselines
-// are compiled in for an honest comparison:
-//   * `legacy::ChaCha20` — the pre-optimization byte-at-a-time keystream;
-//   * `legacy::aead_seal/open` — the pre-optimization seal path (three
-//     buffer allocations, per-message HMAC key schedule).
-// Against those we measure the current batched cipher (scalar and, when the
-// binary carries one, the SIMD kernel — toggled via chacha20_force_scalar())
-// and the AeadKey single-allocation seal/open. One X25519 shared secret, the
-// unit of the attested setup phase, is timed in ns/op.
+// emit the same metrics-JSON contract as the figure benches. Measures the
+// batched ChaCha20 keystream (scalar and, when the binary carries one, the
+// SIMD kernel — toggled via chacha20_force_scalar()), the AeadKey
+// single-allocation seal/open and the cached-key SecureLink seal. One X25519
+// shared secret, the unit of the attested setup phase, is timed in ns/op.
+// The crypto.* and channel.* counters are time-boxed iteration counts that
+// CI compares against tests/baselines/BENCH_perf.json.
 //
 // Flags:
 //   --quick           shorter measurement windows (CI smoke mode)
@@ -32,9 +30,7 @@
 #include "sgx/measurement.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
-#include "crypto/ct.hpp"
 #include "crypto/drbg.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
 #include "obs/metrics.hpp"
@@ -46,125 +42,6 @@ using namespace sgxp2p::crypto;
 
 // Prevents the optimizer from deleting a benchmarked computation.
 inline void keep(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
-
-// ----- legacy (pre-optimization) implementations, kept verbatim in shape --
-
-namespace legacy {
-
-inline std::uint32_t rotl(std::uint32_t x, int n) {
-  return (x << n) | (x >> (32 - n));
-}
-
-inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
-                          std::uint32_t& d) {
-  a += b; d ^= a; d = rotl(d, 16);
-  c += d; b ^= c; b = rotl(b, 12);
-  a += b; d ^= a; d = rotl(d, 8);
-  c += d; b ^= c; b = rotl(b, 7);
-}
-
-/// The seed's ChaCha20: one block per refill, per-byte XOR loop.
-class ChaCha20 {
- public:
-  ChaCha20(ByteView key, ByteView nonce, std::uint32_t counter) {
-    state_[0] = 0x61707865;
-    state_[1] = 0x3320646e;
-    state_[2] = 0x79622d32;
-    state_[3] = 0x6b206574;
-    for (int i = 0; i < 8; ++i) state_[4 + i] = load_le32(key.data() + 4 * i);
-    state_[12] = counter;
-    for (int i = 0; i < 3; ++i) {
-      state_[13 + i] = load_le32(nonce.data() + 4 * i);
-    }
-  }
-
-  void crypt(std::uint8_t* data, std::size_t len) {
-    for (std::size_t i = 0; i < len; ++i) {
-      if (block_pos_ == 64) next_block();
-      data[i] ^= block_[block_pos_++];
-    }
-  }
-
- private:
-  void next_block() {
-    std::array<std::uint32_t, 16> x = state_;
-    for (int round = 0; round < 10; ++round) {
-      quarter_round(x[0], x[4], x[8], x[12]);
-      quarter_round(x[1], x[5], x[9], x[13]);
-      quarter_round(x[2], x[6], x[10], x[14]);
-      quarter_round(x[3], x[7], x[11], x[15]);
-      quarter_round(x[0], x[5], x[10], x[15]);
-      quarter_round(x[1], x[6], x[11], x[12]);
-      quarter_round(x[2], x[7], x[8], x[13]);
-      quarter_round(x[3], x[4], x[9], x[14]);
-    }
-    for (int i = 0; i < 16; ++i) {
-      store_le32(block_.data() + 4 * i, x[i] + state_[i]);
-    }
-    state_[12] += 1;
-    block_pos_ = 0;
-  }
-
-  std::array<std::uint32_t, 16> state_;
-  std::array<std::uint8_t, 64> block_{};
-  std::size_t block_pos_ = 64;
-};
-
-inline Bytes chacha20_crypt(ByteView key, ByteView nonce,
-                            std::uint32_t counter, ByteView data) {
-  Bytes out(data.begin(), data.end());
-  ChaCha20 cipher(key, nonce, counter);
-  cipher.crypt(out.data(), out.size());
-  return out;
-}
-
-inline void mac_header(HmacSha256& mac, ByteView nonce, ByteView ad,
-                       ByteView ct) {
-  std::uint8_t lens[16];
-  store_le64(lens, ad.size());
-  store_le64(lens + 8, ct.size());
-  mac.update(nonce);
-  mac.update(ad);
-  mac.update(ct);
-  mac.update(ByteView(lens, sizeof lens));
-}
-
-/// The seed's seal: separate ciphertext allocation, append into `out`, and
-/// the HMAC key schedule rebuilt from raw bytes for every message.
-inline Bytes aead_seal(ByteView key, ByteView nonce, ByteView ad,
-                       ByteView plaintext) {
-  ByteView enc_key = key.subspan(0, 32);
-  ByteView mac_key = key.subspan(32, 32);
-  Bytes out;
-  out.reserve(kAeadOverhead + plaintext.size());
-  append(out, nonce);
-  Bytes ct = chacha20_crypt(enc_key, nonce, 1, plaintext);
-  append(out, ct);
-  HmacSha256 mac(mac_key);
-  mac_header(mac, nonce, ad, ct);
-  Sha256Digest tag = mac.finalize();
-  out.insert(out.end(), tag.begin(), tag.end());
-  return out;
-}
-
-inline std::optional<Bytes> aead_open(ByteView key, ByteView ad,
-                                      ByteView sealed) {
-  if (sealed.size() < kAeadOverhead) return std::nullopt;
-  ByteView enc_key = key.subspan(0, 32);
-  ByteView mac_key = key.subspan(32, 32);
-  ByteView nonce = sealed.subspan(0, kAeadNonceSize);
-  ByteView ct = sealed.subspan(kAeadNonceSize, sealed.size() - kAeadOverhead);
-  ByteView tag = sealed.subspan(sealed.size() - kAeadTagSize);
-  HmacSha256 mac(mac_key);
-  mac_header(mac, nonce, ad, ct);
-  Sha256Digest expected = mac.finalize();
-  if (!ct_equal(ByteView(expected.data(), expected.size()), tag)) {
-    return std::nullopt;
-  }
-  return chacha20_crypt(enc_key, nonce, 1, ct);
-}
-
-}  // namespace legacy
 
 // ----- measurement harness -----
 
@@ -283,14 +160,9 @@ int main(int argc, char** argv) {
   Bytes key64(kAeadKeySize, 0x42);
   AeadKey aead_key{ByteView(key64)};
 
-  // --- keystream throughput: legacy vs batched-scalar vs batched-SIMD ---
+  // --- keystream throughput: batched scalar vs batched SIMD ---
   std::printf("[chacha20 keystream, 4 KiB blocks]\n");
   Bytes buf(4096, 0x03);
-  auto ks_legacy = measure("chacha20_legacy_4096", buf.size(), [&] {
-    legacy::ChaCha20 c(key32, nonce, 1);
-    c.crypt(buf.data(), buf.size());
-    keep(buf.data());
-  });
   chacha20_force_scalar() = true;
   auto ks_scalar = measure("chacha20_scalar_4096", buf.size(), [&] {
     ChaCha20 c(key32, nonce, 1);
@@ -309,26 +181,10 @@ int main(int argc, char** argv) {
   // --- AEAD seal/open on protocol-sized (100 B) and bulk (1 KiB) messages --
   std::uint64_t sealed_bytes = 0, opened_bytes = 0;
   std::vector<std::size_t> sizes{100, 1024};
-  double seal_speedup_min = 1e9, open_speedup_min = 1e9;
   for (std::size_t sz : sizes) {
     std::printf("[aead seal/open, %zu B messages]\n", sz);
     Bytes msg(sz, 0x55);
     Bytes sealed = aead_seal(aead_key, nonce, {}, msg);
-
-    // The pre-PR binary had neither the SHA-NI compressor nor the batched
-    // cipher, so the legacy measurements force the scalar hash too.
-    sha256_force_scalar() = true;
-    auto seal_legacy =
-        measure("aead_seal_legacy_" + std::to_string(sz), sz, [&] {
-          Bytes out = legacy::aead_seal(key64, nonce, {}, msg);
-          keep(out.data());
-        });
-    auto open_legacy =
-        measure("aead_open_legacy_" + std::to_string(sz), sz, [&] {
-          auto out = legacy::aead_open(key64, {}, sealed);
-          keep(&out);
-        });
-    sha256_force_scalar() = false;
     auto seal_now = measure("aead_seal_" + std::to_string(sz), sz, [&] {
       Bytes out = aead_seal(aead_key, nonce, {}, msg);
       keep(out.data());
@@ -342,16 +198,7 @@ int main(int argc, char** argv) {
     // comparisons.
     sealed_bytes += seal_now.iters * sz;
     opened_bytes += open_now.iters * sz;
-    double s_up = seal_now.mbps / seal_legacy.mbps;
-    double o_up = open_now.mbps / open_legacy.mbps;
-    seal_speedup_min = std::min(seal_speedup_min, s_up);
-    open_speedup_min = std::min(open_speedup_min, o_up);
-    std::printf("  -> seal speedup %.2fx, open speedup %.2fx vs pre-PR\n\n",
-                s_up, o_up);
-    reg.gauge("bench.seal_speedup_x100_" + std::to_string(sz))
-        .set(static_cast<std::int64_t>(s_up * 100.0));
-    reg.gauge("bench.open_speedup_x100_" + std::to_string(sz))
-        .set(static_cast<std::int64_t>(o_up * 100.0));
+    std::printf("\n");
   }
   reg.counter("crypto.seal_bytes").inc(sealed_bytes);
   reg.counter("crypto.open_bytes").inc(opened_bytes);
@@ -407,15 +254,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n[summary]\n");
-  std::printf("  keystream: legacy %.0f MB/s, scalar-batched %.0f MB/s, "
-              "%s %.0f MB/s (%.2fx over legacy)\n",
-              ks_legacy.mbps, ks_scalar.mbps, chacha20_backend(), ks_simd.mbps,
-              ks_simd.mbps / ks_legacy.mbps);
-  std::printf("  min seal speedup %.2fx, min open speedup %.2fx "
-              "(target >= 2x vs pre-PR)\n",
-              seal_speedup_min, open_speedup_min);
-  bool ok = seal_speedup_min >= 2.0 && open_speedup_min >= 2.0;
-  std::printf("  target %s\n", ok ? "MET" : "NOT met");
+  std::printf("  keystream: scalar-batched %.0f MB/s, %s %.0f MB/s "
+              "(%.2fx over scalar)\n",
+              ks_scalar.mbps, chacha20_backend(), ks_simd.mbps,
+              ks_simd.mbps / ks_scalar.mbps);
 
   if (!metrics_path.empty()) {
     std::string json =

@@ -1,37 +1,31 @@
-// bench_scale — event-engine scaling proof: one ERB broadcast at
-// n ∈ {40, 200, 500, 1000, 2000}, timer wheel vs the reference heap.
+// bench_scale — event-engine scaling: one ERB broadcast at
+// n ∈ {40, 200, 500, 1000, 2000} on the timer wheel.
 //
 // The paper evaluates at n ≤ 40 (Section 6); the ROADMAP north star needs
-// orders of magnitude more. Two measurements per n:
+// orders of magnitude more. Two measurements:
 //
-//  1. Full stack: one accounted-mode ERB instance (t = 1, so every run
-//     terminates in 3 rounds and the ~n² per-round deliveries dominate)
-//     through both event engines — setup time (Testbed construction plus
-//     build(): hosts, enclaves, fast links and the O(n²) sequence
-//     exchange), events/sec, wall-clock per simulated round, peak RSS,
-//     buffer-pool reuse. Both engines must agree on every virtual-time
-//     result (events fired, wire messages, rounds, termination); the table
-//     prints the check.
+//  1. Full stack, per n: one accounted-mode ERB instance (t = 1, so every
+//     run terminates in 3 rounds and the ~n² per-round deliveries
+//     dominate) — setup time (Testbed construction plus build(): hosts,
+//     enclaves, fast links and the O(n²) sequence exchange), events/sec,
+//     wall-clock per simulated round, peak RSS, buffer-pool reuse.
 //
-//  2. Engine dispatch: a replay of the same round's *event schedule* —
-//     identical timer and delivery pattern (INIT fan-out, per-node ECHO
-//     broadcast timers, per-receipt ACKs, jittered arrivals, sealed-size
-//     payloads) with a no-op receiver. With the protocol work (seal/open,
-//     hashing, ACK construction — engine-independent by definition)
-//     stripped away, this isolates exactly the subsystem the overhaul
-//     replaced: schedule → queue → dispatch, closure-per-message malloc
-//     vs typed pooled events. The ≥5× gate is measured here; the
-//     full-stack ratio is reported alongside for honesty about end-to-end
-//     wins.
+//  2. Engine dispatch, at n = 1000: a replay of the same round's *event
+//     schedule* — identical timer and delivery pattern (INIT fan-out,
+//     per-node ECHO broadcast timers, per-receipt ACKs, jittered arrivals)
+//     with a no-op receiver. With the protocol work (seal/open, hashing,
+//     ACK construction) stripped away, this isolates schedule → queue →
+//     dispatch and prints absolute events/sec, best of 3 repetitions. The
+//     three repetitions must agree on events fired and end time.
 //
 //   bench_scale                 # full sweep incl. n=2000 + budget check
 //   bench_scale --quick         # CI mode: n ∈ {40, 200, 1000}
 //   bench_scale --n 500,1000    # override the sweep points
 //   bench_scale --metrics-out [path]   # BENCH_scale.json
 //
-// Gates (printed): engine-dispatch wheel ≥ 5× heap events/sec at n = 1000,
-// and the n = 2000 full-stack run (full mode) completes within the printed
-// wall-clock budget.
+// Gates (printed): the dispatch repetitions agree, and the n = 2000
+// full-stack run (full mode) completes within the printed wall-clock
+// budget.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -68,7 +62,6 @@ long peak_rss_kb() {
 
 struct PointResult {
   std::uint32_t n = 0;
-  sim::SimEngine engine = sim::SimEngine::kWheel;
   double setup_s = 0;  // Testbed construction plus build()
   double wall_s = 0;   // start() until every node decided
   std::uint64_t events = 0;
@@ -85,24 +78,17 @@ struct PointResult {
   }
 };
 
-PointResult run_point(std::uint32_t n, sim::SimEngine engine) {
+PointResult run_point(std::uint32_t n) {
   PointResult out;
   out.n = n;
-  out.engine = engine;
   out.registry = std::make_unique<obs::MetricsRegistry>();
   obs::MetricsRegistry::ScopedCurrent bind(*out.registry);
   // Cold pool per point: reuse within a run is measured, not inherited.
-  // The heap rows measure the full pre-overhaul stack, so they also run
-  // with recycling off (the seed allocated fresh buffers per message);
-  // registry counters are recycling-independent, so the engine-agreement
-  // check below still compares like with like.
   obs::BufferPool::local().clear();
-  obs::BufferPool::local().set_recycling(engine != sim::SimEngine::kHeap);
 
   sim::TestbedConfig cfg =
       bench::bench_config(n, 1, protocol::ChannelMode::kAccounted);
   cfg.t = 1;  // termination after t+2 = 3 rounds; n² fan-out dominates
-  cfg.engine = engine;
   Bytes payload = to_bytes("scale benchmark broadcast payload");
 
   auto setup_t0 = std::chrono::steady_clock::now();
@@ -150,7 +136,6 @@ PointResult run_point(std::uint32_t n, sim::SimEngine engine) {
                          ? 100.0 * static_cast<double>(ps.hits) /
                                static_cast<double>(ps.acquires)
                          : 0;
-  obs::BufferPool::local().set_recycling(true);
   out.rss_kb = peak_rss_kb();
   return out;
 }
@@ -160,15 +145,13 @@ PointResult run_point(std::uint32_t n, sim::SimEngine engine) {
 //
 // Traffic shape mirrors the full-stack run at the same n: node 0 fans INIT
 // out to n−1 peers with jittered arrivals; each peer's first receipt arms a
-// timer (the std::function lane both engines share) at the next round
-// boundary that broadcasts ECHO to the other n−1; every INIT/ECHO receipt
-// answers with a jittered ACK. Message classes are distinguished by
-// registering one delivery handler per class, so deliveries carry no
-// payload ballast: with ~n² buffers in flight both the pool and plain
-// malloc land in cold memory, making payload traffic an engine-independent
-// cost that belongs to the full-stack rows (the pool column there).  What
-// remains is exactly the subsystem the overhaul replaced — schedule →
-// queue → dispatch, per-message closure allocation vs typed events.
+// timer (the std::function lane) at the next round boundary that broadcasts
+// ECHO to the other n−1; every INIT/ECHO receipt answers with a jittered
+// ACK. Message classes are distinguished by registering one delivery
+// handler per class, so deliveries carry no payload ballast: with ~n²
+// buffers in flight both the pool and plain malloc land in cold memory,
+// making payload traffic a cost that belongs to the full-stack rows (the
+// pool column there). What remains is schedule → queue → dispatch.
 
 struct DispatchResult {
   double wall_s = 0;
@@ -180,7 +163,7 @@ struct DispatchResult {
   }
 };
 
-DispatchResult run_dispatch(std::uint32_t n, sim::SimEngine engine) {
+DispatchResult run_dispatch(std::uint32_t n) {
   constexpr SimTime kRound = 1000;      // bench round length, ms
   constexpr SimTime kBase = 500;        // bench base delay
   constexpr SimTime kJitterBound = 501; // bench max jitter + 1
@@ -189,7 +172,7 @@ DispatchResult run_dispatch(std::uint32_t n, sim::SimEngine engine) {
   obs::MetricsRegistry reg;
   obs::MetricsRegistry::ScopedCurrent bind(reg);
 
-  sim::Simulator simulator(reg, engine);
+  sim::Simulator simulator(reg);
   Rng rng(0x5ca1ab1e);
   std::vector<char> echoed(n, 0);
 
@@ -234,12 +217,11 @@ DispatchResult run_dispatch(std::uint32_t n, sim::SimEngine engine) {
   return out;
 }
 
-void print_row(const PointResult& r, double ratio) {
-  const char* engine = r.engine == sim::SimEngine::kHeap ? "heap" : "wheel";
-  std::printf("%6u  %-6s %8.2f %9.3f %12llu %12.0f %8.2fx %9llu %6u %7.1f %6.1f%% %8.1f  %s\n",
-              r.n, engine, r.setup_s * 1e3, r.wall_s,
+void print_row(const PointResult& r) {
+  std::printf("%6u %8.2f %9.3f %12llu %12.0f %9llu %6u %7.1f %6.1f%% %8.1f  %s\n",
+              r.n, r.setup_s * 1e3, r.wall_s,
               static_cast<unsigned long long>(r.events), r.events_per_s(),
-              ratio, static_cast<unsigned long long>(r.messages), r.rounds,
+              static_cast<unsigned long long>(r.messages), r.rounds,
               r.virt_s, r.pool_hit_pct,
               static_cast<double>(r.rss_kb) / 1024.0,
               r.decided ? "decided" : "UNDECIDED");
@@ -269,97 +251,48 @@ int main(int argc, char** argv) {
             : std::vector<std::uint32_t>{40, 200, 500, 1000, 2000};
   if (!ns_override.empty()) ns = ns_override;
 
-  // The reference heap is quadratic-unfriendly past n=1000; the gate only
-  // needs the head-to-head there.
-  const std::uint32_t heap_max_n = 1000;
-
   std::printf("event-engine scaling: one accounted ERB broadcast, t=1\n");
-  std::printf("%6s  %-6s %8s %9s %12s %12s %8s %9s %6s %7s %7s %8s\n", "n",
-              "engine", "setup_ms", "wall_s", "events", "events/s", "vs heap",
-              "msgs", "rnds", "virt_s", "pool", "rss_MB");
+  std::printf("%6s %8s %9s %12s %12s %9s %6s %7s %7s %8s\n", "n",
+              "setup_ms", "wall_s", "events", "events/s", "msgs", "rnds",
+              "virt_s", "pool", "rss_MB");
 
-  double gate_ratio = 0;
   double wall_2000 = -1;
   bool deterministic = true;
   bool all_decided = true;
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
-  std::vector<std::pair<std::uint32_t, double>> setup_by_n;  // wheel lane
+  std::vector<std::pair<std::uint32_t, double>> setup_by_n;
 
   for (std::uint32_t n : ns) {
-    PointResult wheel = run_point(n, sim::SimEngine::kWheel);
-    all_decided = all_decided && wheel.decided;
-    setup_by_n.emplace_back(n, wheel.setup_s);
-    if (n == 2000) wall_2000 = wheel.wall_s;
-
-    if (n <= heap_max_n) {
-      PointResult heap = run_point(n, sim::SimEngine::kHeap);
-      all_decided = all_decided && heap.decided;
-      double ratio = heap.events_per_s() > 0
-                         ? wheel.events_per_s() / heap.events_per_s()
-                         : 0;
-      if (n == 1000) gate_ratio = ratio;
-      bool agree = wheel.events == heap.events &&
-                   wheel.messages == heap.messages &&
-                   wheel.rounds == heap.rounds && wheel.virt_s == heap.virt_s;
-      deterministic = deterministic && agree;
-      print_row(wheel, ratio);
-      if (!agree) std::printf("        ^^ ENGINE MISMATCH at n=%u\n", n);
-      print_row(heap, 1.0);
-      registries.push_back(std::move(heap.registry));
-    } else {
-      print_row(wheel, 0.0);
-    }
-    registries.push_back(std::move(wheel.registry));
+    PointResult r = run_point(n);
+    all_decided = all_decided && r.decided;
+    setup_by_n.emplace_back(n, r.setup_s);
+    if (n == 2000) wall_2000 = r.wall_s;
+    print_row(r);
+    registries.push_back(std::move(r.registry));
   }
 
-  double dispatch_ratio = 0;
-  const std::uint32_t gate_n = 1000;
-  if (std::find(ns.begin(), ns.end(), gate_n) != ns.end()) {
+  const std::uint32_t dispatch_n = 1000;
+  if (std::find(ns.begin(), ns.end(), dispatch_n) != ns.end()) {
     std::printf("\nengine dispatch: same n=%u round event schedule, no-op "
-                "receiver (engine isolated)\n", gate_n);
-    std::printf("%6s  %-6s %9s %12s %12s %8s\n", "n", "engine", "wall_s",
-                "events", "events/s", "vs heap");
-    // Best-of-3 per engine: a single rep is at the mercy of scheduler noise
-    // on shared CI machines, and the virtual run is deterministic, so the
-    // fastest rep is the least-perturbed measurement of the same work.
-    auto best_dispatch = [](std::uint32_t points, sim::SimEngine eng) {
-      DispatchResult best = run_dispatch(points, eng);
-      for (int rep = 1; rep < 3; ++rep) {
-        DispatchResult r = run_dispatch(points, eng);
-        if (r.wall_s < best.wall_s) best = r;
-      }
-      return best;
-    };
-    DispatchResult dw = best_dispatch(gate_n, sim::SimEngine::kWheel);
-    DispatchResult dh = best_dispatch(gate_n, sim::SimEngine::kHeap);
-    dispatch_ratio =
-        dh.events_per_s() > 0 ? dw.events_per_s() / dh.events_per_s() : 0;
-    bool agree = dw.events == dh.events && dw.end_time == dh.end_time;
-    deterministic = deterministic && agree;
-    std::printf("%6u  %-6s %9.3f %12llu %12.0f %8.2fx\n", gate_n, "wheel",
-                dw.wall_s, static_cast<unsigned long long>(dw.events),
-                dw.events_per_s(), dispatch_ratio);
-    std::printf("%6u  %-6s %9.3f %12llu %12.0f %8.2fx\n", gate_n, "heap",
-                dh.wall_s, static_cast<unsigned long long>(dh.events),
-                dh.events_per_s(), 1.0);
-    if (!agree) std::printf("        ^^ DISPATCH ENGINE MISMATCH\n");
+                "receiver (engine isolated)\n", dispatch_n);
+    std::printf("%6s %9s %12s %12s\n", "n", "wall_s", "events", "events/s");
+    // Best of 3: a single rep is at the mercy of scheduler noise on shared
+    // CI machines, and the virtual run is deterministic, so the fastest rep
+    // is the least-perturbed measurement of the same work.
+    DispatchResult best = run_dispatch(dispatch_n);
+    for (int rep = 1; rep < 3; ++rep) {
+      DispatchResult r = run_dispatch(dispatch_n);
+      deterministic = deterministic && r.events == best.events &&
+                      r.end_time == best.end_time;
+      if (r.wall_s < best.wall_s) best = r;
+    }
+    std::printf("%6u %9.3f %12llu %12.0f\n", dispatch_n, best.wall_s,
+                static_cast<unsigned long long>(best.events),
+                best.events_per_s());
+    std::printf("dispatch repeats (events, virtual end time): %s\n",
+                deterministic ? "identical" : "MISMATCH");
   }
 
-  std::printf("\nengine agreement (events/msgs/rounds/virtual time): %s\n",
-              deterministic ? "identical" : "MISMATCH");
-  if (dispatch_ratio > 0) {
-    std::printf(
-        "gate: engine dispatch wheel vs heap at n=%u = %.2fx (target >= 5x): "
-        "%s\n",
-        gate_n, dispatch_ratio,
-        dispatch_ratio >= 5.0 ? "target MET" : "target NOT met");
-  }
-  if (gate_ratio > 0) {
-    std::printf(
-        "full-stack ERB round at n=1000 = %.2fx (seal/open, hashing and ACK "
-        "construction are engine-independent)\n",
-        gate_ratio);
-  }
   if (wall_2000 >= 0) {
     std::printf("gate: n=2000 round budget %.0f s: %.1f s: %s\n", kBudget2000s,
                 wall_2000, wall_2000 <= kBudget2000s ? "budget MET"
@@ -374,10 +307,6 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::current();
   for (const auto& r : registries) obs::merge_snapshot(reg, r->snapshot());
   reg.gauge("bench.scale_max_n").set(static_cast<std::int64_t>(ns.back()));
-  reg.gauge("bench.scale_gate_ratio_x100")
-      .set(static_cast<std::int64_t>(dispatch_ratio * 100.0));
-  reg.gauge("bench.scale_fullstack_ratio_x100")
-      .set(static_cast<std::int64_t>(gate_ratio * 100.0));
   reg.gauge("bench.scale_deterministic").set(deterministic ? 1 : 0);
   reg.gauge("bench.scale_peak_rss_kb")
       .set(static_cast<std::int64_t>(peak_rss_kb()));

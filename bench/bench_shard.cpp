@@ -16,8 +16,8 @@
 //  2. Sublinearity gate (printed + exit code): msgs/node at the largest n
 //     must be ≤ 2× msgs/node at the smallest — a 10× n increase may buy at
 //     most one committee-size increment, not proportional traffic.
-//  3. Engine agreement: the epoch digest at the cross-check size must be
-//     byte-identical across the timer-wheel and reference-heap engines.
+//  3. Repeat agreement: a second run at the cross-check size must give the
+//     first run's epoch digest, message count and rounds byte for byte.
 //
 //   bench_shard                 # full sweep: n ∈ {10000, 100000}
 //   bench_shard --quick         # CI mode: n ∈ {2000, 10000}
@@ -25,7 +25,7 @@
 //   bench_shard --epochs 2      # chained epochs per point (default 1)
 //   bench_shard --metrics-out [path]   # BENCH_shard.json
 //
-// Exit 0 iff every point's oracles pass, the engines agree, and the
+// Exit 0 iff every point's oracles pass, the repeat agrees, and the
 // sublinearity gate holds.
 #include <algorithm>
 #include <chrono>
@@ -78,8 +78,7 @@ struct PointResult {
   }
 };
 
-PointResult run_point(std::uint32_t n, std::uint64_t epochs,
-                      sim::SimEngine engine) {
+PointResult run_point(std::uint32_t n, std::uint64_t epochs) {
   PointResult out;
   out.n = n;
   out.registry = std::make_unique<obs::MetricsRegistry>();
@@ -88,7 +87,6 @@ PointResult run_point(std::uint32_t n, std::uint64_t epochs,
 
   sim::TestbedConfig cfg =
       bench::bench_config(n, 1, protocol::ChannelMode::kAccounted);
-  cfg.engine = engine;
   // Sharded deployment: no pre-wired clique. Accounted channels need no
   // per-peer link state, so the bootstrap stays O(n) and FIFO slots grow
   // with pairs that actually talk (committee-mates + tree reps).
@@ -173,29 +171,29 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
   std::vector<PointResult> points;
   for (std::uint32_t n : ns) {
-    PointResult r = run_point(n, epochs, sim::SimEngine::kWheel);
+    PointResult r = run_point(n, epochs);
     all_ok = all_ok && r.ok;
     print_row(r);
     registries.push_back(std::move(r.registry));
     points.push_back(std::move(r));
   }
 
-  // Engine agreement at a size the reference heap handles comfortably: the
-  // agreed epoch digest — a hash over every committee's accepted values —
-  // must be byte-identical, which transitively pins election, ERB message
-  // ordering, and the dissemination tree across both engines.
+  // Repeat agreement: the agreed epoch digest — a hash over every
+  // committee's accepted values — must be byte-identical in a second
+  // same-seed run, which transitively pins election, ERB message ordering,
+  // and the dissemination tree. Only the first check run's registry is
+  // merged.
   const std::uint32_t check_n = std::min<std::uint32_t>(ns.front(), 2000);
-  PointResult wheel_chk = run_point(check_n, epochs, sim::SimEngine::kWheel);
-  PointResult heap_chk = run_point(check_n, epochs, sim::SimEngine::kHeap);
+  PointResult first_chk = run_point(check_n, epochs);
+  PointResult repeat_chk = run_point(check_n, epochs);
   const bool deterministic =
-      wheel_chk.ok && !wheel_chk.digest.empty() && heap_chk.ok &&
-      wheel_chk.digest == heap_chk.digest &&
-      wheel_chk.messages == heap_chk.messages &&
-      wheel_chk.rounds == heap_chk.rounds;
-  registries.push_back(std::move(wheel_chk.registry));
-  std::printf(
-      "\nengine agreement at n=%u, wheel vs heap (digest/msgs/rounds): %s\n",
-      check_n, deterministic ? "identical" : "MISMATCH");
+      first_chk.ok && !first_chk.digest.empty() && repeat_chk.ok &&
+      first_chk.digest == repeat_chk.digest &&
+      first_chk.messages == repeat_chk.messages &&
+      first_chk.rounds == repeat_chk.rounds;
+  registries.push_back(std::move(first_chk.registry));
+  std::printf("\nrepeat agreement at n=%u (digest/msgs/rounds): %s\n", check_n,
+              deterministic ? "identical" : "MISMATCH");
 
   // Sublinearity gate: per-node message cost may roughly track the
   // committee-size increment (log n), never the 10× node-count jump.

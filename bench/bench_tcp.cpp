@@ -1,21 +1,22 @@
-// bench_tcp — the real-socket data plane, old vs new.
+// bench_tcp — the real-socket data plane.
 //
-// Compares the epoll event-loop TcpBus (edge-triggered reads, writev
-// coalescing, refcounted multicast, backpressure) against the preserved
-// poll(2)+mutex LegacyTcpBus behind the same TcpBusIface, over genuine
-// localhost TCP:
+// Measures the epoll event-loop TcpBus (edge-triggered reads, writev
+// coalescing, refcounted multicast, backpressure) over genuine localhost
+// TCP:
 //
 //   * multicast blast throughput — node 0 fans a payload out to n−1 peers M
 //     times; reports msgs/s and send-side syscalls/msg (writev coalescing
 //     makes the latter < 1 for small frames);
 //   * ping-pong round latency — n=2 echo loop, p50/p99 microseconds;
-//   * ERB decide latency — the full protocol stack on TcpTestbed with each
-//     bus kind, wall-clock milliseconds to every honest decision.
+//   * ERB decide latency — the full protocol stack on TcpTestbed,
+//     wall-clock milliseconds to every honest decision.
 //
-// Timing numbers land in gauges (never CI-gated); the planned work — point
-// count, multicasts per point, total frames, ping-pong iterations, ERB n —
-// lands in `tcp.plan.*` counters that are pure functions of the flags, so
-// `check_bench_json --compare --compare-keys tcp.plan.` gates them exactly.
+// Printed gate: send-side syscalls/msg < 0.5 at n=32/64B. Timing numbers
+// land in `bench.tcp.epoll.*` gauges (never CI-gated); the planned work —
+// point count, multicasts per point, total frames, ping-pong iterations,
+// ERB n — lands in `tcp.plan.*` counters that are pure functions of the
+// flags, so `check_bench_json --compare --compare-keys tcp.plan.` gates
+// them exactly.
 //
 // Flags: --quick (CI sizing), --metrics-out [path] (default BENCH_tcp.json).
 #include <algorithm>
@@ -30,7 +31,6 @@
 
 #include "bench_util.hpp"
 #include "net/tcp_bus.hpp"
-#include "net/tcp_bus_legacy.hpp"
 #include "net/tcp_testbed.hpp"
 #include "obs/metrics.hpp"
 #include "protocol/erb_node.hpp"
@@ -39,18 +39,6 @@ namespace {
 
 using namespace sgxp2p;
 using clock_t_ = std::chrono::steady_clock;
-
-const char* kind_name(net::TcpBusKind k) {
-  return k == net::TcpBusKind::kEpoll ? "epoll" : "legacy";
-}
-
-std::unique_ptr<net::TcpBusIface> make_bus(net::TcpBusKind kind,
-                                           std::uint32_t n) {
-  if (kind == net::TcpBusKind::kEpoll) {
-    return std::make_unique<net::TcpBus>(n);
-  }
-  return std::make_unique<net::LegacyTcpBus>(n);
-}
 
 double seconds_since(clock_t_::time_point t0) {
   return std::chrono::duration<double>(clock_t_::now() - t0).count();
@@ -78,15 +66,14 @@ struct ThroughputResult {
 /// node 0 to everyone else; msgs/s counts delivered frames. The sender
 /// paces on the receive counter so queues stay far below the watermark —
 /// the bench measures the drain rate, not the queue depth.
-ThroughputResult run_throughput(net::TcpBusKind kind, std::uint32_t n,
-                                std::size_t payload_size,
+ThroughputResult run_throughput(std::uint32_t n, std::size_t payload_size,
                                 std::uint64_t multicasts) {
-  auto bus = make_bus(kind, n);
+  net::TcpBus bus(n);
   std::atomic<std::uint64_t> received{0};
-  bus->set_receiver([&](NodeId, NodeId, Bytes) {
+  bus.set_receiver([&](NodeId, NodeId, Bytes) {
     received.fetch_add(1, std::memory_order_relaxed);
   });
-  if (!bus->start()) {
+  if (!bus.start()) {
     std::fprintf(stderr, "bench_tcp: mesh bring-up failed (n=%u)\n", n);
     std::exit(1);
   }
@@ -112,7 +99,7 @@ ThroughputResult run_throughput(net::TcpBusKind kind, std::uint32_t n,
       std::fprintf(stderr, "bench_tcp: receiver stalled (n=%u)\n", n);
       std::exit(1);
     }
-    while (bus->multicast(0, group, Bytes(payload)) ==
+    while (bus.multicast(0, group, Bytes(payload)) ==
            net::SendStatus::kBackpressure) {
       std::this_thread::yield();
     }
@@ -127,15 +114,13 @@ ThroughputResult run_throughput(net::TcpBusKind kind, std::uint32_t n,
     std::exit(1);
   }
   const double elapsed = seconds_since(t0);
-  bus->stop();
+  bus.stop();
 
   ThroughputResult r;
   r.msgs_per_s = static_cast<double>(expected) / elapsed;
   obs::MetricsSnapshot snap = obs::MetricsRegistry::current().snapshot();
   const obs::CounterSample* writev = snap.find_counter("net.tcp.writev_calls");
-  // The legacy bus issues one blocking write(2) per frame (no batching, no
-  // instrumentation) — its send-side cost is 1.0 syscalls/msg by
-  // construction.
+  // A run with no writev counter is scored as one syscall per frame.
   r.syscalls_per_msg =
       writev != nullptr
           ? static_cast<double>(writev->value) / static_cast<double>(expected)
@@ -150,18 +135,17 @@ struct LatencyResult {
 
 /// n=2 echo loop: node 1's receiver bounces every frame straight back (on
 /// the bus I/O thread), node 0 times the round trip.
-LatencyResult run_pingpong(net::TcpBusKind kind, std::uint64_t iters) {
-  auto bus = make_bus(kind, 2);
-  net::TcpBusIface* raw = bus.get();
+LatencyResult run_pingpong(std::uint64_t iters) {
+  net::TcpBus bus(2);
   std::atomic<std::uint64_t> pongs{0};
-  bus->set_receiver([&, raw](NodeId to, NodeId, Bytes blob) {
+  bus.set_receiver([&](NodeId to, NodeId, Bytes blob) {
     if (to == 1) {
-      (void)raw->send(1, 0, std::move(blob));
+      (void)bus.send(1, 0, std::move(blob));
     } else {
       pongs.fetch_add(1, std::memory_order_release);
     }
   });
-  if (!bus->start()) {
+  if (!bus.start()) {
     std::fprintf(stderr, "bench_tcp: ping-pong bring-up failed\n");
     std::exit(1);
   }
@@ -171,7 +155,7 @@ LatencyResult run_pingpong(net::TcpBusKind kind, std::uint64_t iters) {
   rtts_us.reserve(iters);
   for (std::uint64_t i = 0; i < iters; ++i) {
     const auto t0 = clock_t_::now();
-    (void)bus->send(0, 1, Bytes(ping));
+    (void)bus.send(0, 1, Bytes(ping));
     if (!wait_until(
             [&] { return pongs.load(std::memory_order_acquire) > i; }, 10.0)) {
       std::fprintf(stderr, "bench_tcp: ping-pong stalled at %llu\n",
@@ -180,7 +164,7 @@ LatencyResult run_pingpong(net::TcpBusKind kind, std::uint64_t iters) {
     }
     rtts_us.push_back(seconds_since(t0) * 1e6);
   }
-  bus->stop();
+  bus.stop();
 
   std::sort(rtts_us.begin(), rtts_us.end());
   LatencyResult r;
@@ -195,16 +179,12 @@ struct ErbResult {
   std::uint32_t rounds = 0;
 };
 
-/// Full ERB stack on TcpTestbed — sealed channels, wall-clock rounds — with
-/// the chosen data plane underneath. Both kinds run the identical protocol
-/// configuration, so the delta is the transport.
-ErbResult run_erb_tcp(net::TcpBusKind kind, std::uint32_t n,
-                      SimDuration round_ms) {
+/// Full ERB stack on TcpTestbed — sealed channels, wall-clock rounds.
+ErbResult run_erb_tcp(std::uint32_t n, SimDuration round_ms) {
   net::TcpTestbedConfig cfg;
   cfg.n = n;
   cfg.t = (n - 1) / 2;
   cfg.round_ms = round_ms;
-  cfg.bus_kind = kind;
   net::TcpTestbed bed(cfg);
 
   const Bytes payload = to_bytes("bench_tcp erb payload");
@@ -281,12 +261,9 @@ int main(int argc, char** argv) {
   const SimDuration erb_round_ms = 150;
   const std::vector<std::uint32_t> ns = {8, 32};
   const std::vector<std::size_t> payloads = {64, 1024};
-  const std::vector<net::TcpBusKind> kinds = {net::TcpBusKind::kLegacyPoll,
-                                              net::TcpBusKind::kEpoll};
 
   auto& reg = obs::MetricsRegistry::current();
-  std::printf("=== bench_tcp: epoll data plane vs poll(2)+mutex baseline "
-              "===\n");
+  std::printf("=== bench_tcp: epoll data plane ===\n");
   std::printf("multicasts/point %llu, ping-pong iters %llu, erb n=%u "
               "(%s mode)\n\n",
               static_cast<unsigned long long>(multicasts),
@@ -295,83 +272,56 @@ int main(int argc, char** argv) {
 
   // --- multicast blast throughput ---
   std::printf("[multicast throughput, node 0 -> n-1 peers]\n");
-  std::printf("  %-8s %4s %7s %14s %14s\n", "bus", "n", "payload", "msgs/s",
+  std::printf("  %4s %7s %14s %14s\n", "n", "payload", "msgs/s",
               "syscalls/msg");
-  double epoll_n32_small = 0, legacy_n32_small = 0, epoll_n32_syscalls = 1.0;
+  double n32_small_syscalls = 1.0;
   std::uint64_t planned_frames = 0;
-  for (net::TcpBusKind kind : kinds) {
-    for (std::uint32_t n : ns) {
-      for (std::size_t payload : payloads) {
-        ThroughputResult r = isolated(reg, [&] {
-          return run_throughput(kind, n, payload, multicasts);
-        });
-        planned_frames += multicasts * (n - 1);
-        std::printf("  %-8s %4u %6zuB %14.0f %14.3f\n", kind_name(kind), n,
-                    payload, r.msgs_per_s, r.syscalls_per_msg);
-        const std::string key = std::string("bench.tcp.") + kind_name(kind) +
-                                ".n" + std::to_string(n) + ".p" +
-                                std::to_string(payload);
-        reg.gauge(key + ".msgs_per_s").set(i64(r.msgs_per_s));
-        reg.gauge(key + ".syscalls_per_msg_x1000")
-            .set(i64(r.syscalls_per_msg * 1000.0));
-        if (n == 32 && payload == 64) {
-          if (kind == net::TcpBusKind::kEpoll) {
-            epoll_n32_small = r.msgs_per_s;
-            epoll_n32_syscalls = r.syscalls_per_msg;
-          } else {
-            legacy_n32_small = r.msgs_per_s;
-          }
-        }
-      }
+  for (std::uint32_t n : ns) {
+    for (std::size_t payload : payloads) {
+      ThroughputResult r = isolated(
+          reg, [&] { return run_throughput(n, payload, multicasts); });
+      planned_frames += multicasts * (n - 1);
+      std::printf("  %4u %6zuB %14.0f %14.3f\n", n, payload, r.msgs_per_s,
+                  r.syscalls_per_msg);
+      const std::string key = "bench.tcp.epoll.n" + std::to_string(n) + ".p" +
+                              std::to_string(payload);
+      reg.gauge(key + ".msgs_per_s").set(i64(r.msgs_per_s));
+      reg.gauge(key + ".syscalls_per_msg_x1000")
+          .set(i64(r.syscalls_per_msg * 1000.0));
+      if (n == 32 && payload == 64) n32_small_syscalls = r.syscalls_per_msg;
     }
   }
 
   // --- ping-pong round latency ---
   std::printf("\n[ping-pong round latency, n=2]\n");
-  for (net::TcpBusKind kind : kinds) {
-    LatencyResult r =
-        isolated(reg, [&] { return run_pingpong(kind, pingpong_iters); });
-    std::printf("  %-8s p50 %8.1f us   p99 %8.1f us\n", kind_name(kind),
-                r.p50_us, r.p99_us);
-    const std::string key = std::string("bench.tcp.") + kind_name(kind);
-    reg.gauge(key + ".pingpong_p50_us").set(i64(r.p50_us));
-    reg.gauge(key + ".pingpong_p99_us").set(i64(r.p99_us));
-  }
+  const LatencyResult lat =
+      isolated(reg, [&] { return run_pingpong(pingpong_iters); });
+  std::printf("  p50 %8.1f us   p99 %8.1f us\n", lat.p50_us, lat.p99_us);
+  reg.gauge("bench.tcp.epoll.pingpong_p50_us").set(i64(lat.p50_us));
+  reg.gauge("bench.tcp.epoll.pingpong_p99_us").set(i64(lat.p99_us));
 
   // --- ERB decide latency over the full stack ---
   std::printf("\n[erb decide latency, n=%u, round=%lldms]\n", erb_n,
               static_cast<long long>(erb_round_ms));
-  for (net::TcpBusKind kind : kinds) {
-    ErbResult r =
-        isolated(reg, [&] { return run_erb_tcp(kind, erb_n, erb_round_ms); });
-    std::printf("  %-8s decided in %7.0f ms (%u rounds)\n", kind_name(kind),
-                r.decide_ms, r.rounds);
-    const std::string key = std::string("bench.tcp.") + kind_name(kind);
-    reg.gauge(key + ".erb_decide_ms").set(i64(r.decide_ms));
-    reg.gauge(key + ".erb_rounds").set(r.rounds);
-  }
+  const ErbResult erb =
+      isolated(reg, [&] { return run_erb_tcp(erb_n, erb_round_ms); });
+  std::printf("  decided in %7.0f ms (%u rounds)\n", erb.decide_ms,
+              erb.rounds);
+  reg.gauge("bench.tcp.epoll.erb_decide_ms").set(i64(erb.decide_ms));
+  reg.gauge("bench.tcp.epoll.erb_rounds").set(erb.rounds);
 
-  // --- summary + acceptance gates (reported, CI gates only tcp.plan.*) ---
-  const double speedup =
-      legacy_n32_small > 0 ? epoll_n32_small / legacy_n32_small : 0;
+  // --- summary + acceptance gate (reported, CI gates only tcp.plan.*) ---
   std::printf("\n[summary]\n");
-  std::printf("  n=32/64B: legacy %.0f msgs/s, epoll %.0f msgs/s "
-              "-> %.2fx (target >= 3x)\n",
-              legacy_n32_small, epoll_n32_small, speedup);
-  std::printf("  epoll send-side syscalls/msg at n=32/64B: %.3f "
-              "(target < 0.5)\n",
-              epoll_n32_syscalls);
-  const bool met = speedup >= 3.0 && epoll_n32_syscalls < 0.5;
-  std::printf("  target %s\n", met ? "MET" : "NOT met");
-  reg.gauge("bench.tcp.speedup_x100").set(i64(speedup * 100.0));
+  std::printf("  send-side syscalls/msg at n=32/64B: %.3f (target < 0.5)\n",
+              n32_small_syscalls);
+  std::printf("  target %s\n", n32_small_syscalls < 0.5 ? "MET" : "NOT met");
 
   // Deterministic plan counters — exact-compare material for CI.
-  reg.counter("tcp.plan.points")
-      .inc(kinds.size() * ns.size() * payloads.size());
+  reg.counter("tcp.plan.points").inc(ns.size() * payloads.size());
   reg.counter("tcp.plan.multicasts_per_point").inc(multicasts);
   reg.counter("tcp.plan.frames").inc(planned_frames);
-  reg.counter("tcp.plan.pingpong_iters").inc(pingpong_iters * kinds.size());
-  reg.counter("tcp.plan.erb_nodes").inc(erb_n * kinds.size());
+  reg.counter("tcp.plan.pingpong_iters").inc(pingpong_iters);
+  reg.counter("tcp.plan.erb_nodes").inc(erb_n);
 
   bench::finish_obs(obs_opts);
   return 0;

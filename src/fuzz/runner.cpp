@@ -116,9 +116,8 @@ struct RunContext {
   // Pending partition heals: round → cut pairs to release.
   std::map<std::uint32_t, std::vector<std::pair<NodeId, NodeId>>> heal_at;
 
-  RunContext(const Schedule& s, const RunOptions& opts,
-             obs::MetricsRegistry& registry)
-      : bed(make_config(s, opts, registry)),
+  RunContext(const Schedule& s, obs::MetricsRegistry& registry)
+      : bed(make_config(s, registry)),
         clock(std::make_shared<adversary::ScheduleClock>()),
         compiled(compile(s)) {
     // No round is "active" during the setup handshakes.
@@ -126,7 +125,6 @@ struct RunContext {
   }
 
   static sim::TestbedConfig make_config(const Schedule& s,
-                                        const RunOptions& opts,
                                         obs::MetricsRegistry& registry) {
     sim::TestbedConfig cfg;
     cfg.n = s.n;
@@ -135,7 +133,6 @@ struct RunContext {
     cfg.net.base_delay = milliseconds(100);
     cfg.net.max_jitter = milliseconds(100);
     cfg.registry = &registry;
-    cfg.engine = opts.engine;
     return cfg;
   }
 
@@ -222,7 +219,7 @@ void finalize(const Schedule& schedule, const obs::MetricsRegistry& registry,
                material.size())));
   // Every coverage input (snapshot, violations, outcome, rounds) is part of
   // — or derived the same way as — the digest material, so the map inherits
-  // the digest's same-seed and cross-engine byte-identity.
+  // the digest's same-seed byte-identity.
   report.coverage = compute_coverage(schedule, report.violated_oracles(),
                                      report.outcome, report.rounds, snap);
 }
@@ -231,7 +228,7 @@ void finalize(const Schedule& schedule, const obs::MetricsRegistry& registry,
 
 RunReport run_erb(const Schedule& s, const RunOptions& opts,
                   obs::MetricsRegistry& registry) {
-  RunContext ctx(s, opts, registry);
+  RunContext ctx(s, registry);
   const Bytes payload = to_bytes(kErbPayload);
   const NodeId initiator = 0;
   ctx.bed.build(
@@ -312,10 +309,9 @@ RunReport run_erb(const Schedule& s, const RunOptions& opts,
 // ----- ERNG (basic + opt share the oracle shape) -------------------------
 
 template <typename NodeT>
-RunReport run_erng(const Schedule& s, const RunOptions& opts,
-                   obs::MetricsRegistry& registry,
+RunReport run_erng(const Schedule& s, obs::MetricsRegistry& registry,
                    const sim::Testbed::EnclaveFactory& factory) {
-  RunContext ctx(s, opts, registry);
+  RunContext ctx(s, registry);
   ctx.bed.build(factory, ctx.strategy_factory());
   ctx.install_fault_hook(s.n);
   ctx.start();
@@ -375,9 +371,8 @@ RunReport run_erng(const Schedule& s, const RunOptions& opts,
 
 // ----- Recovery ----------------------------------------------------------
 
-RunReport run_recovery(const Schedule& s, const RunOptions& opts,
-                       obs::MetricsRegistry& registry) {
-  RunContext ctx(s, opts, registry);
+RunReport run_recovery(const Schedule& s, obs::MetricsRegistry& registry) {
+  RunContext ctx(s, registry);
   const std::uint32_t roster_n = s.n - 1;
   const NodeId extra = s.n - 1;  // joins fresh — the liveness proof
   const bool recovers = ctx.compiled.recover_round != 0;
@@ -488,9 +483,8 @@ RunReport run_recovery(const Schedule& s, const RunOptions& opts,
 
 // ----- Shard -------------------------------------------------------------
 
-RunReport run_shard(const Schedule& s, const RunOptions& opts,
-                    obs::MetricsRegistry& registry) {
-  RunContext ctx(s, opts, registry);
+RunReport run_shard(const Schedule& s, obs::MetricsRegistry& registry) {
+  RunContext ctx(s, registry);
   ctx.bed.build(shard::ShardCoordinator::make_factory(),
                 ctx.strategy_factory());
   ctx.install_fault_hook(s.n);
@@ -577,7 +571,7 @@ RunReport run_schedule(const Schedule& schedule, const RunOptions& options) {
       break;
     case FuzzTarget::kErngBasic:
       report = run_erng<protocol::ErngBasicNode>(
-          schedule, options, registry,
+          schedule, registry,
           [](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
              protocol::PeerConfig pc, const sgx::SimIAS& ias)
               -> std::unique_ptr<protocol::PeerEnclave> {
@@ -587,7 +581,7 @@ RunReport run_schedule(const Schedule& schedule, const RunOptions& options) {
       break;
     case FuzzTarget::kErngOpt:
       report = run_erng<protocol::ErngOptNode>(
-          schedule, options, registry,
+          schedule, registry,
           [](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
              protocol::PeerConfig pc, const sgx::SimIAS& ias)
               -> std::unique_ptr<protocol::PeerEnclave> {
@@ -596,10 +590,10 @@ RunReport run_schedule(const Schedule& schedule, const RunOptions& options) {
           });
       break;
     case FuzzTarget::kRecovery:
-      report = run_recovery(schedule, options, registry);
+      report = run_recovery(schedule, registry);
       break;
     case FuzzTarget::kShard:
-      report = run_shard(schedule, options, registry);
+      report = run_shard(schedule, registry);
       break;
     default:
       CHECK_MSG(false, "run_schedule: unknown target");

@@ -14,7 +14,6 @@
 
 #include "fuzz/oracles.hpp"
 #include "fuzz/schedule.hpp"
-#include "net/simulator.hpp"
 
 namespace sgxp2p::fuzz {
 
@@ -28,9 +27,6 @@ struct RunOptions {
   /// does not touch metrics, so digests are unaffected either way, but the
   /// ring costs memory on big campaigns.
   bool check_causal = false;
-  /// Event engine driving the run. Digests and coverage maps are
-  /// engine-identical; tests run kHeap explicitly to prove exactly that.
-  sim::SimEngine engine = sim::SimEngine::kWheel;
 };
 
 [[nodiscard]] RunReport run_schedule(const Schedule& schedule,

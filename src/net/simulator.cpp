@@ -6,9 +6,8 @@
 
 namespace sgxp2p::sim {
 
-Simulator::Simulator(obs::MetricsRegistry& registry, SimEngine engine)
-    : engine_(engine),
-      scheduled_ctr_(registry.counter("sim.events_scheduled")),
+Simulator::Simulator(obs::MetricsRegistry& registry)
+    : scheduled_ctr_(registry.counter("sim.events_scheduled")),
       fired_ctr_(registry.counter("sim.events_fired")),
       deliveries_ctr_(registry.counter("sim.deliveries")),
       depth_gauge_(registry.gauge("sim.queue_depth")),
@@ -146,51 +145,13 @@ std::size_t Simulator::Wheel::capacity_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// Reference heap engine (the original event queue, byte-identical behavior)
-
-void Simulator::heap_push(Event ev) {
-  heap_.push_back(std::move(ev));
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    std::size_t parent = (i - 1) / 2;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-Simulator::Event Simulator::heap_pop() {
-  Event out = std::move(heap_.front());
-  if (heap_.size() > 1) {
-    heap_.front() = std::move(heap_.back());
-  }
-  heap_.pop_back();
-  // Sift the relocated tail element down to restore the heap property.
-  std::size_t i = 0;
-  const std::size_t n = heap_.size();
-  while (true) {
-    std::size_t smallest = i;
-    std::size_t left = 2 * i + 1;
-    std::size_t right = 2 * i + 2;
-    if (left < n && before(heap_[left], heap_[smallest])) smallest = left;
-    if (right < n && before(heap_[right], heap_[smallest])) smallest = right;
-    if (smallest == i) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Engine-independent driver
+// Driver
 
 void Simulator::enqueue(Event ev) {
   scheduled_ctr_.inc();
-  if (engine_ == SimEngine::kHeap) {
-    heap_push(std::move(ev));
-  } else if (active_pos_ < active_.size() && ev.at == now_) {
+  if (active_pos_ < active_.size() && ev.at == now_) {
     // An event scheduled at now while the now-batch drains fires after the
-    // batch's remaining events — exactly the heap's FIFO tie-break.
+    // batch's remaining events: its seq is larger than all of theirs.
     active_.push_back(std::move(ev));
   } else {
     wheel_.insert(std::move(ev));
@@ -231,15 +192,6 @@ std::uint32_t Simulator::add_delivery_handler(DeliveryHandler handler) {
 void Simulator::schedule_delivery(SimTime at, std::uint32_t handler,
                                   Delivery d) {
   deliveries_ctr_.inc();
-  if (engine_ == SimEngine::kHeap) {
-    // The reference engine reproduces the original delivery path exactly:
-    // one heap-allocated std::function closure per message, dispatched
-    // type-erased — this is the baseline bench_scale measures against.
-    schedule(at, [this, handler, d = std::move(d)]() mutable {
-      handlers_[handler](std::move(d));
-    });
-    return;
-  }
   Event ev;
   ev.at = std::max(at, now_);
   ev.seq = next_seq_++;
@@ -260,8 +212,7 @@ void Simulator::fire(Event& ev) {
   penalty_ = SimDuration{0};
   // Everything the handler does — trace events, sends, timers it arms — is
   // caused by this event. The Scope is inert when tracing is off, and the
-  // Network re-scopes deliveries to their own `deliver` span, so both
-  // engines (closure-wrapped heap deliveries included) emit identical DAGs.
+  // Network re-scopes deliveries to their own `deliver` span.
   obs::TraceRecorder::Scope causal(ev.cause_span);
   if (ev.handler == kTimer) {
     // Free the table entry before the call: the callback may arm timers
@@ -302,13 +253,6 @@ bool Simulator::next_ready(SimTime limit) {
 }
 
 bool Simulator::step_limit(SimTime limit) {
-  if (engine_ == SimEngine::kHeap) {
-    if (heap_.empty() || heap_.front().at > limit) return false;
-    Event ev = heap_pop();
-    now_ = ev.at;
-    fire(ev);
-    return true;
-  }
   if (!next_ready(limit)) return false;
   // Move out before firing: the callback may append to active_.
   Event ev = std::move(active_[active_pos_]);
@@ -321,7 +265,7 @@ bool Simulator::step() { return step_limit(Wheel::kNoTime); }
 
 std::size_t Simulator::queue_capacity_bytes() const {
   return wheel_.capacity_bytes() +
-         (active_.capacity() + heap_.capacity()) * sizeof(Event) +
+         active_.capacity() * sizeof(Event) +
          timers_.capacity() * sizeof(std::function<void()>) +
          free_timers_.capacity() * sizeof(std::uint32_t);
 }
@@ -335,7 +279,7 @@ void Simulator::run_until(SimTime t) {
   while (step_limit(t)) {
   }
   now_ = std::max(now_, t);
-  if (engine_ != SimEngine::kHeap) wheel_.advance(now_);
+  wheel_.advance(now_);
 }
 
 }  // namespace sgxp2p::sim

@@ -6,29 +6,21 @@
 // OS cannot skew (feature F4). All timing results in EXPERIMENTS.md are
 // virtual seconds from this clock.
 //
-// Two interchangeable engines drive the event queue:
-//
-//  * kWheel (default) — a hierarchical timer wheel: kLevels levels of
-//    kSlots buckets, each level covering kBits more bits of the timestamp.
-//    Network delays are bounded by Δ = base_delay + max_jitter, and level 0
-//    spans 1024 ms — more than a default round (2Δ = 1000 ms) — so every
-//    delivery of a default run goes straight into its millisecond slot and
-//    never cascades; schedule/pop are O(1) instead of O(log m) on a heap
-//    holding ~n² pending deliveries. Per-level occupancy bitmaps make "next
-//    non-empty bucket" a handful of word scans; a per-slot minimum keeps
-//    peek exact even when a coarse slot spans many timestamps. Events due
-//    at the same millisecond are drained as one batch sorted by seq, which
-//    preserves the global FIFO tie-break exactly — traces, metrics, and
-//    bench tables are byte-identical to the heap engine for identical
-//    seeds, and pinned to committed golden digests
-//    (tests/test_event_engine.cpp enforces both). A drained slot hands its
-//    buffer to the batch and keeps no capacity, so the queue's memory
-//    tracks the events pending, not the peak of any one bucket.
-//
-//  * kHeap — the original hand-rolled binary min-heap, kept as the
-//    reference engine for the equivalence tests and as the baseline the
-//    bench_scale dispatch gate measures against. Nothing selects it
-//    implicitly: a caller passes SimEngine::kHeap explicitly.
+// The event queue is a hierarchical timer wheel: kLevels levels of kSlots
+// buckets, each level covering kBits more bits of the timestamp. Network
+// delays are bounded by Δ = base_delay + max_jitter, and level 0 spans
+// 1024 ms — more than a default round (2Δ = 1000 ms) — so every delivery of
+// a default run goes straight into its millisecond slot and never cascades;
+// schedule/pop are O(1) instead of O(log m) on a heap holding ~n² pending
+// deliveries. Per-level occupancy bitmaps make "next non-empty bucket" a
+// handful of word scans; a per-slot minimum keeps peek exact even when a
+// coarse slot spans many timestamps. Events due at the same millisecond are
+// drained as one batch sorted by seq, which gives the global FIFO
+// tie-break: events fire in (time, seq) order. Traces and metrics of fixed
+// scenarios are pinned to committed golden digests
+// (tests/test_event_engine.cpp). A drained slot hands its buffer to the
+// batch and keeps no capacity, so the queue's memory tracks the events
+// pending, not the peak of any one bucket.
 //
 // Message deliveries are typed events (Delivery{from, to, cause_span,
 // payload, shared}) routed to a registered handler rather than per-message
@@ -55,11 +47,6 @@
 
 namespace sgxp2p::sim {
 
-enum class SimEngine {
-  kWheel,
-  kHeap,
-};
-
 /// One in-flight message: the typed event the network schedules instead of
 /// a closure. Exactly one of `payload` (owned, unicast) or `shared`
 /// (refcounted, one buffer fanned out to a whole group) carries the bytes.
@@ -82,13 +69,11 @@ class Simulator : public sgx::TrustedClock {
   /// Instruments sim.* on `registry` (defaults to the thread's current
   /// registry, which is the global one unless a run rebound it).
   explicit Simulator(
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::current(),
-      SimEngine engine = SimEngine::kWheel);
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::current());
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] SimTime now() const override { return now_; }
-  [[nodiscard]] SimEngine engine() const { return engine_; }
 
   /// Schedules `fn` at absolute virtual time `at` (clamped to now).
   void schedule(SimTime at, std::function<void()> fn);
@@ -123,15 +108,13 @@ class Simulator : public sgx::TrustedClock {
 
   [[nodiscard]] bool idle() const { return pending() == 0; }
   [[nodiscard]] std::size_t pending() const {
-    return engine_ == SimEngine::kHeap
-               ? heap_.size()
-               : wheel_.size() + (active_.size() - active_pos_);
+    return wheel_.size() + (active_.size() - active_pos_);
   }
 
   /// Bytes of storage the event queue holds right now: the capacity of the
-  /// wheel's slot buffers, the due batch, the overflow list, the heap and
-  /// the timer table. Fixed-size bookkeeping (bitmaps, slot headers) is not
-  /// counted. Once the queue drains, only the timer table keeps capacity.
+  /// wheel's slot buffers, the due batch, the overflow list and the timer
+  /// table. Fixed-size bookkeeping (bitmaps, slot headers) is not counted.
+  /// Once the queue drains, only the timer table keeps capacity.
   [[nodiscard]] std::size_t queue_capacity_bytes() const;
 
  private:
@@ -154,11 +137,6 @@ class Simulator : public sgx::TrustedClock {
     std::shared_ptr<const Bytes> shared;
   };
   static_assert(sizeof(Event) <= 88);
-  // Min-heap order: earliest timestamp first, FIFO among equals.
-  static bool before(const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  }
 
   /// Hierarchical timer wheel. Level L buckets timestamps by bits
   /// [L·kBits, (L+1)·kBits); an event goes to the lowest level whose
@@ -216,26 +194,21 @@ class Simulator : public sgx::TrustedClock {
   void fire(Event& ev);
   /// Fires the next event with timestamp ≤ limit; false if none.
   bool step_limit(SimTime limit);
-  /// Wheel only: ensures active_ holds an unfired batch due ≤ limit.
+  /// Ensures active_ holds an unfired batch due ≤ limit.
   bool next_ready(SimTime limit);
-
-  void heap_push(Event ev);
-  Event heap_pop();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   SimDuration penalty_ = SimDuration{0};  // unconsumed enclave-transition cost
-  SimEngine engine_;
-  std::vector<Event> heap_;
   Wheel wheel_;
   // The batch of events due at now_, sorted by seq; events scheduled at
-  // now_ while the batch drains are appended (matching heap FIFO order).
+  // now_ while the batch drains are appended, keeping FIFO order.
   std::vector<Event> active_;
   std::size_t active_pos_ = 0;
   std::vector<DeliveryHandler> handlers_;
-  // Timer table: the closures of pending timer events (and, on kHeap, of
-  // every pending delivery), indexed by Event::timer. Fired entries go on
-  // the free list and are reused by the next schedule().
+  // Timer table: the closures of pending timer events, indexed by
+  // Event::timer. Fired entries go on the free list and are reused by the
+  // next schedule().
   std::vector<std::function<void()>> timers_;
   std::vector<std::uint32_t> free_timers_;
 

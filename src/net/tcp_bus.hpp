@@ -14,9 +14,7 @@
 // per-connection bounded outbound queues drained with writev(2) coalescing
 // (many small sealed frames per syscall), refcounted serialize-once
 // multicast, explicit backpressure (queue high-watermark → kBackpressure),
-// and reconnect-on-failure with capped exponential backoff. LegacyTcpBus
-// (net/tcp_bus_legacy.hpp) preserves the original poll(2)+mutex loop behind
-// the same interface as the bench_tcp comparison baseline.
+// and reconnect-on-failure with capped exponential backoff.
 //
 // Threading: one background I/O thread owns every fd; send() only enqueues
 // under a per-connection mutex and kicks the loop through an eventfd.
@@ -87,25 +85,27 @@ struct TcpBusOptions {
   bool reconnect = true;
 };
 
-/// The transport contract shared by the epoll TcpBus and the poll(2)
-/// LegacyTcpBus, so testbeds and benches can run either interchangeably.
-class TcpBusIface {
+class TcpBus {
  public:
   /// Frame arriving for `to`, sent by `from`. Invoked on the I/O thread.
   using Receiver = std::function<void(NodeId to, NodeId from, Bytes blob)>;
 
-  virtual ~TcpBusIface() = default;
+  explicit TcpBus(std::uint32_t n, TcpBusOptions options = {});
+  ~TcpBus();
 
-  virtual void set_receiver(Receiver receiver) = 0;
+  TcpBus(const TcpBus&) = delete;
+  TcpBus& operator=(const TcpBus&) = delete;
+
+  void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
   /// Binds N listeners, builds the pairwise mesh, starts the I/O thread.
   /// Returns false if any socket operation fails.
-  virtual bool start() = 0;
-  virtual void stop() = 0;
+  bool start();
+  void stop();
 
   /// Sends a frame; thread-safe. Takes the payload by value so callers can
   /// move pool-backed Bytes straight into the outbound queue (zero-copy).
-  virtual SendStatus send(NodeId from, NodeId to, Bytes blob) = 0;
+  SendStatus send(NodeId from, NodeId to, Bytes blob);
   SendStatus send(NodeId from, NodeId to, ByteView blob) {
     return send(from, to, Bytes(blob.begin(), blob.end()));
   }
@@ -114,42 +114,12 @@ class TcpBusIface {
   /// buffer and every connection queue holds a reference — the socket-layer
   /// mirror of broadcast_val's one-serialization semantics. Returns the
   /// worst per-destination status (kBackpressure > kDown > kOk).
-  virtual SendStatus multicast(NodeId from, const std::vector<NodeId>& group,
-                               Bytes payload) = 0;
-
-  [[nodiscard]] virtual std::uint64_t messages_sent() const = 0;
-  [[nodiscard]] virtual std::uint64_t bytes_sent() const = 0;
-  [[nodiscard]] virtual std::uint16_t port_of(NodeId id) const = 0;
-};
-
-class TcpBus final : public TcpBusIface {
- public:
-  using TcpBusIface::send;
-
-  explicit TcpBus(std::uint32_t n, TcpBusOptions options = {});
-  ~TcpBus() override;
-
-  TcpBus(const TcpBus&) = delete;
-  TcpBus& operator=(const TcpBus&) = delete;
-
-  void set_receiver(Receiver receiver) override {
-    receiver_ = std::move(receiver);
-  }
-
-  bool start() override;
-  void stop() override;
-
-  SendStatus send(NodeId from, NodeId to, Bytes blob) override;
   SendStatus multicast(NodeId from, const std::vector<NodeId>& group,
-                       Bytes payload) override;
+                       Bytes payload);
 
-  [[nodiscard]] std::uint64_t messages_sent() const override {
-    return messages_sent_;
-  }
-  [[nodiscard]] std::uint64_t bytes_sent() const override {
-    return bytes_sent_;
-  }
-  [[nodiscard]] std::uint16_t port_of(NodeId id) const override {
+  [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
+  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
+  [[nodiscard]] std::uint16_t port_of(NodeId id) const {
     return ports_.at(id);
   }
 

@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/serde.hpp"
-#include "net/tcp_bus_legacy.hpp"
 
 namespace sgxp2p::net {
 
@@ -64,11 +63,7 @@ void TcpTestbed::host_transfer(NodeId from, NodeId to, Bytes blob) {
 }
 
 bool TcpTestbed::build(const EnclaveFactory& make_enclave) {
-  if (cfg_.bus_kind == TcpBusKind::kLegacyPoll) {
-    bus_ = std::make_unique<LegacyTcpBus>(cfg_.n);
-  } else {
-    bus_ = std::make_unique<TcpBus>(cfg_.n, cfg_.bus_options);
-  }
+  bus_ = std::make_unique<TcpBus>(cfg_.n, cfg_.bus_options);
 
   protocol::PeerConfig pc;
   pc.n = cfg_.n;

@@ -6,9 +6,8 @@
 // as the enclaves' trusted time, and real sleeping between round boundaries.
 // All node state is serialized under one mutex: inbound frames arrive on the
 // bus I/O thread, ticks on the caller thread. Intended for the localhost
-// deployment example, the TCP integration tests, bench_tcp (which selects
-// the bus implementation via TcpTestbedConfig::bus_kind), and the TCP fuzz
-// runner (which injects a send hook to fault outbound traffic — see
+// deployment example, the TCP integration tests, bench_tcp, and the TCP
+// fuzz runner (which injects a send hook to fault outbound traffic — see
 // fuzz/tcp_shim.hpp).
 #pragma once
 
@@ -25,17 +24,12 @@
 
 namespace sgxp2p::net {
 
-/// Which data plane carries the frames: the epoll event loop (production)
-/// or the preserved poll(2)+mutex loop (bench comparison baseline).
-enum class TcpBusKind : std::uint8_t { kEpoll, kLegacyPoll };
-
 struct TcpTestbedConfig {
   std::uint32_t n = 4;
   std::uint32_t t = 0;              // 0 → ⌊(n−1)/2⌋
   SimDuration round_ms = 250;       // wall-clock round (2Δ); localhost Δ≈125ms
   std::uint64_t seed = 1;
-  TcpBusKind bus_kind = TcpBusKind::kEpoll;
-  TcpBusOptions bus_options;        // epoll bus only
+  TcpBusOptions bus_options;
 };
 
 class TcpTestbed {
@@ -105,7 +99,7 @@ class TcpTestbed {
   [[nodiscard]] T& enclave_as(NodeId id) {
     return dynamic_cast<T&>(*enclaves_.at(id));
   }
-  [[nodiscard]] TcpBusIface& bus() { return *bus_; }
+  [[nodiscard]] TcpBus& bus() { return *bus_; }
   [[nodiscard]] const TcpTestbedConfig& config() const { return cfg_; }
 
  private:
@@ -126,7 +120,7 @@ class TcpTestbed {
 
   TcpTestbedConfig cfg_;
   SteadyClock clock_;
-  std::unique_ptr<TcpBusIface> bus_;
+  std::unique_ptr<TcpBus> bus_;
   sgx::SgxPlatform platform_;
   std::unique_ptr<sgx::SimIAS> ias_;
   std::vector<std::unique_ptr<BusHost>> hosts_;

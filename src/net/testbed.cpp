@@ -20,7 +20,7 @@ Testbed::Testbed(TestbedConfig config)
     : cfg_(config),
       registry_(config.registry != nullptr ? config.registry
                                            : &obs::MetricsRegistry::current()),
-      simulator_(*registry_, config.engine),
+      simulator_(*registry_),
       network_(simulator_, config.net, *registry_),
       platform_(simulator_, platform_seed(config.seed)) {
   // Every ecall/ocall on this deployment is counted under sgx.*; when the

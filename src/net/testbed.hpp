@@ -32,10 +32,6 @@ struct TestbedConfig {
   SimDuration round_ms = 0;  // 0 → 2 × net.worst_delay()  (round = 2Δ)
   protocol::ChannelMode mode = protocol::ChannelMode::kAttested;
   std::uint64_t seed = 1;
-  /// Event engine: the timer wheel. Equivalence tests and the scale/shard
-  /// benches pass SimEngine::kHeap to run the same deployment on the
-  /// reference heap.
-  SimEngine engine = SimEngine::kWheel;
   /// Registry this deployment instruments. nullptr → the thread's current
   /// registry at construction time (usually the global one). Sweep drivers
   /// hand every run its own registry so runs are isolated and mergeable.

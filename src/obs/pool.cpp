@@ -64,7 +64,7 @@ Bytes BufferPool::acquire_empty(std::size_t capacity) {
 void BufferPool::release(Bytes buf) {
   ++stats_.releases;
   PoolCounters::get().releases->inc();
-  if (!recycling_ || buf.capacity() == 0 ||
+  if (buf.capacity() == 0 ||
       buf.capacity() > kMaxPooledCapacity || free_.size() >= kMaxFree) {
     ++stats_.dropped;
     return;

@@ -61,20 +61,6 @@ class BufferPool {
   /// between measured configurations so every run starts cold.
   void clear();
 
-  /// Turns recycling off/on (default on). Off, every acquire allocates
-  /// fresh and every release drops — the pre-pool allocation behavior
-  /// bench_scale uses for its reference configuration. The registry-visible
-  /// totals (acquires/releases) are counted identically either way, so
-  /// metric snapshots do not depend on this switch.
-  void set_recycling(bool on) {
-    recycling_ = on;
-    if (!on) {
-      free_.clear();
-      free_.shrink_to_fit();
-    }
-  }
-  [[nodiscard]] bool recycling() const { return recycling_; }
-
   /// Free-list depth cap: beyond this, released buffers are freed.
   static constexpr std::size_t kMaxFree = 4096;
   /// Buffers with more capacity than this are never pooled (checkpoint and
@@ -86,7 +72,6 @@ class BufferPool {
 
   std::vector<Bytes> free_;
   Stats stats_;
-  bool recycling_ = true;
 };
 
 }  // namespace sgxp2p::obs

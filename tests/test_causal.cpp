@@ -1,5 +1,5 @@
-// Causal-tracing tests: the span/cause DAG is deterministic and engine-
-// independent, satisfies the conservation oracle on real protocol runs, the
+// Causal-tracing tests: the span/cause DAG is deterministic (same seed,
+// same bytes), satisfies the conservation oracle on real protocol runs, the
 // critical-path analyzer attributes every virtual millisecond of a decide's
 // latency, the enclave-transition cost model charges the simulator clock and
 // shows up on the path, and the Perfetto export is valid JSON.
@@ -30,16 +30,14 @@ struct TracedRun {
   obs::MetricsSnapshot snapshot;
 };
 
-/// One fully traced honest ERB execution (N=8) on the chosen engine.
-TracedRun run_erb_traced(std::uint64_t seed, sim::SimEngine engine,
-                         sgx::TransitionCosts costs = {}) {
+/// One fully traced honest ERB execution (N=8).
+TracedRun run_erb_traced(std::uint64_t seed, sgx::TransitionCosts costs = {}) {
   MetricsRegistry::global().reset();
   TraceRecorder& tr = TraceRecorder::global();
   tr.enable();
   tr.reset();
   auto cfg = testutil::small_config(8, seed);
   cfg.net.seed = seed;
-  cfg.engine = engine;
   cfg.sgx_costs = costs;
   sim::Testbed bed(cfg);
   bed.build(testutil::erb_factory(0, to_bytes("causal payload")));
@@ -77,22 +75,19 @@ TracedRun run_erng_opt_traced(std::uint64_t seed) {
 // --- determinism: the DAG, not just the event stream, is reproducible ---
 
 TEST(CausalDag, SameSeedSameDagAcrossEngines) {
-  TracedRun wheel_a = run_erb_traced(77, sim::SimEngine::kWheel);
-  TracedRun wheel_b = run_erb_traced(77, sim::SimEngine::kWheel);
-  TracedRun heap = run_erb_traced(77, sim::SimEngine::kHeap);
-  ASSERT_FALSE(wheel_a.jsonl.empty());
-  EXPECT_EQ(wheel_a.jsonl, wheel_b.jsonl) << "same-seed trace bytes diverged";
-  EXPECT_EQ(wheel_a.jsonl, heap.jsonl)
-      << "wheel and heap engines produced different causal traces";
+  TracedRun a = run_erb_traced(77);
+  TracedRun b = run_erb_traced(77);
+  ASSERT_FALSE(a.jsonl.empty());
+  EXPECT_EQ(a.jsonl, b.jsonl) << "same-seed trace bytes diverged";
   // Span/cause really are in the bytes being compared.
-  EXPECT_NE(wheel_a.jsonl.find("\"span\":"), std::string::npos);
-  EXPECT_NE(wheel_a.jsonl.find("\"cause\":"), std::string::npos);
+  EXPECT_NE(a.jsonl.find("\"span\":"), std::string::npos);
+  EXPECT_NE(a.jsonl.find("\"cause\":"), std::string::npos);
 }
 
 // --- conservation: every non-root event has exactly one recorded cause ---
 
 TEST(CausalDag, ConservationHoldsOnErbRun) {
-  TracedRun run = run_erb_traced(42, sim::SimEngine::kWheel);
+  TracedRun run = run_erb_traced(42);
   std::string error;
   auto graph = CausalGraph::parse(run.jsonl, &error);
   ASSERT_TRUE(graph.has_value()) << error;
@@ -140,7 +135,7 @@ TEST(CausalDag, FuzzRunnerOracleCleanOnGeneratedSchedules) {
 // --- critical path: attribution is exhaustive ---
 
 TEST(CausalCriticalPath, SumsToDecideLatencyFullyAttributed) {
-  TracedRun run = run_erb_traced(42, sim::SimEngine::kWheel);
+  TracedRun run = run_erb_traced(42);
   auto graph = CausalGraph::parse(run.jsonl);
   ASSERT_TRUE(graph.has_value());
   auto paths = graph->critical_paths();
@@ -169,8 +164,8 @@ TEST(CausalSgx, TransitionCostsChargeClockAndAppearOnPath) {
   sgx::TransitionCosts costs;
   costs.ecall_ms = 2;
   costs.ocall_ms = 3;
-  TracedRun plain = run_erb_traced(42, sim::SimEngine::kWheel);
-  TracedRun charged = run_erb_traced(42, sim::SimEngine::kWheel, costs);
+  TracedRun plain = run_erb_traced(42);
+  TracedRun charged = run_erb_traced(42, costs);
 
   const auto* ecalls = charged.snapshot.find_counter("sgx.ecalls");
   const auto* ocalls = charged.snapshot.find_counter("sgx.ocalls");
@@ -204,7 +199,7 @@ TEST(CausalSgx, TransitionCostsChargeClockAndAppearOnPath) {
 // --- Perfetto export ---
 
 TEST(CausalPerfetto, ExportRoundTripsThroughJsonParser) {
-  TracedRun run = run_erb_traced(42, sim::SimEngine::kWheel);
+  TracedRun run = run_erb_traced(42);
   auto graph = CausalGraph::parse(run.jsonl);
   ASSERT_TRUE(graph.has_value());
   std::string json = graph->to_perfetto();

@@ -3,7 +3,6 @@
 
 #include "common/rng.hpp"
 #include "crypto/aead.hpp"
-#include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/ct.hpp"
 #include "crypto/drbg.hpp"
@@ -500,69 +499,6 @@ TEST(Ct, Equal) {
   EXPECT_FALSE(ct_equal(to_bytes("abc"), to_bytes("abd")));
   EXPECT_FALSE(ct_equal(to_bytes("abc"), to_bytes("ab")));
   EXPECT_TRUE(ct_equal({}, {}));
-}
-
-}  // namespace
-}  // namespace sgxp2p::crypto
-
-// --- AES (FIPS 197 / SP 800-38A) ---
-
-namespace sgxp2p::crypto {
-namespace {
-
-TEST(Aes, Fips197Aes128Block) {
-  Bytes key = *hex_decode("000102030405060708090a0b0c0d0e0f");
-  Bytes pt = *hex_decode("00112233445566778899aabbccddeeff");
-  Aes aes(key);
-  std::uint8_t ct[16];
-  aes.encrypt_block(pt.data(), ct);
-  EXPECT_EQ(hex_encode(ByteView(ct, 16)), "69c4e0d86a7b0430d8cdb78070b4c55a");
-}
-
-TEST(Aes, Fips197Aes256Block) {
-  Bytes key = *hex_decode(
-      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-  Bytes pt = *hex_decode("00112233445566778899aabbccddeeff");
-  Aes aes(key);
-  std::uint8_t ct[16];
-  aes.encrypt_block(pt.data(), ct);
-  EXPECT_EQ(hex_encode(ByteView(ct, 16)), "8ea2b7ca516745bfeafc49904b496089");
-}
-
-TEST(Aes, Sp80038aCtrAes128FirstBlock) {
-  // SP 800-38A F.5.1: counter block f0f1...ff = nonce f0..fb ++ ctr fcfdfeff.
-  Bytes key = *hex_decode("2b7e151628aed2a6abf7158809cf4f3c");
-  Bytes nonce = *hex_decode("f0f1f2f3f4f5f6f7f8f9fafb");
-  Bytes pt = *hex_decode("6bc1bee22e409f96e93d7e117393172a");
-  Bytes ct = aes_ctr_crypt(key, nonce, 0xfcfdfeffu, pt);
-  EXPECT_EQ(hex_encode(ct), "874d6191b620e3261bef6864990db6ce");
-}
-
-TEST(Aes, CtrRoundTripAndCounterChaining) {
-  Rng rng(99);
-  Bytes key(32), nonce(12);
-  for (auto& b : key) b = static_cast<std::uint8_t>(rng.next_u64());
-  for (auto& b : nonce) b = static_cast<std::uint8_t>(rng.next_u64());
-  for (std::size_t len : {0u, 1u, 15u, 16u, 17u, 200u}) {
-    Bytes msg(len);
-    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
-    Bytes ct = aes_ctr_crypt(key, nonce, 1, msg);
-    EXPECT_EQ(aes_ctr_crypt(key, nonce, 1, ct), msg) << "len " << len;
-  }
-  // Encrypting two blocks at once equals per-block with advancing counters.
-  Bytes two(32, 0x5c);
-  Bytes whole = aes_ctr_crypt(key, nonce, 7, two);
-  Bytes first(two.begin(), two.begin() + 16);
-  Bytes second(two.begin() + 16, two.end());
-  Bytes p1 = aes_ctr_crypt(key, nonce, 7, first);
-  Bytes p2 = aes_ctr_crypt(key, nonce, 8, second);
-  EXPECT_TRUE(std::equal(p1.begin(), p1.end(), whole.begin()));
-  EXPECT_TRUE(std::equal(p2.begin(), p2.end(), whole.begin() + 16));
-}
-
-TEST(Aes, KeySizeValidation) {
-  EXPECT_THROW(Aes(Bytes(17, 0)), std::invalid_argument);
-  EXPECT_THROW(Aes(Bytes(24, 0)), std::invalid_argument);  // no AES-192 here
 }
 
 }  // namespace
