@@ -272,8 +272,8 @@ void Network::on_delivery(Delivery&& d) {
   delivered_ctr_.inc();
   delivered_bytes_ctr_.inc(d.view().size());
   // The cause is the `net send` span carried inside the Delivery — explicit,
-  // never ambient, so the heap engine's closure-wrapped dispatch emits the
-  // same edge. Everything the receiver does runs under the deliver's scope.
+  // never ambient. Everything the receiver does runs under the deliver's
+  // scope.
   std::uint64_t deliver_span = obs::trace_event_caused(
       now, d.to, d.cause_span, "net", "deliver", obs::fnum("from", d.from),
       obs::fnum("bytes", static_cast<std::int64_t>(d.view().size())));
