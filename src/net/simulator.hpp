@@ -18,22 +18,27 @@
 // drained as one batch sorted by seq, which gives the global FIFO
 // tie-break: events fire in (time, seq) order. Traces and metrics of fixed
 // scenarios are pinned to committed golden digests
-// (tests/test_event_engine.cpp). A drained slot hands its buffer to the
-// batch and keeps no capacity, so the queue's memory tracks the events
-// pending, not the peak of any one bucket.
+// (tests/test_event_engine.cpp).
 //
-// Message deliveries are typed events (Delivery{from, to, cause_span,
-// payload, shared}) routed to a registered handler rather than per-message
-// std::function closures. Every pending event is one flat 88-byte record;
-// a protocol timer's closure lives in a side table the record indexes, so
-// deliveries carry no empty std::function. Multicast payloads are carried
-// refcounted so an n−1 fan-out shares one buffer.
+// Every pending event is one flat 64-byte record. Message deliveries are
+// typed events (Delivery{from, to, cause_span, payload, shared}) routed to a
+// registered handler rather than per-message std::function closures; a
+// protocol timer's closure lives in a side table the record indexes. The
+// record holds either the owned payload or the refcounted one (multicast
+// payloads are shared, so an n−1 fan-out carries one buffer), never both.
+// Each slot, the overflow list and the due batch store their records in
+// fixed-size chunks of 64 (≈ 4 KiB): an insert appends in place, a slot
+// hands its chunks to the batch wholesale, and the batch frees each chunk
+// once it has fired every event in it. So the queue holds the pending
+// records plus at most one partial chunk per occupied slot, an idle queue
+// holds none, and no buffer ever grows by copying.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -107,36 +112,81 @@ class Simulator : public sgx::TrustedClock {
   void clear_charge() { penalty_ = SimDuration{0}; }
 
   [[nodiscard]] bool idle() const { return pending() == 0; }
-  [[nodiscard]] std::size_t pending() const {
-    return wheel_.size() + (active_.size() - active_pos_);
-  }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
 
-  /// Bytes of storage the event queue holds right now: the capacity of the
-  /// wheel's slot buffers, the due batch, the overflow list and the timer
-  /// table. Fixed-size bookkeeping (bitmaps, slot headers) is not counted.
-  /// Once the queue drains, only the timer table keeps capacity.
+  /// Bytes of storage the event queue holds right now: the chunks of the
+  /// wheel's slots, the overflow list and the due batch, the timer table,
+  /// and the side entries of waits too wide for a record. Fixed-size
+  /// bookkeeping (bitmaps, slot headers) is not counted. Once the queue
+  /// drains, only the timer table keeps capacity.
   [[nodiscard]] std::size_t queue_capacity_bytes() const;
 
  private:
-  /// Sentinel `handler` of a timer event: its closure is timers_[timer].
-  static constexpr std::uint32_t kTimer =
+  /// What an event's record carries, in the top bits of Event::tag.
+  enum Kind : std::uint32_t { kTimer = 0, kOwned = 1, kShared = 2 };
+  static constexpr int kKindShift = 30;
+  static constexpr std::uint32_t kIndexMask =
+      (std::uint32_t{1} << kKindShift) - 1;
+  /// Event::wait of a wait ≥ 2^32 − 1 ms, whose exact value is in
+  /// wide_waits_.
+  static constexpr std::uint32_t kWideWait =
       std::numeric_limits<std::uint32_t>::max();
 
-  /// One pending event, flat: a delivery's fields ride inline, a timer
-  /// carries only the index of its closure in the timer table.
+  /// One pending event, flat. A delivery's fields ride inline; a timer
+  /// carries only the index of its closure in the timer table. The union
+  /// holds `shared` for a kShared delivery and `payload` otherwise (empty for
+  /// a timer); the kind in `tag` says which.
   struct Event {
     SimTime at = 0;
-    std::uint64_t seq = 0;  // tie-break: FIFO among equal timestamps
-    SimTime queued_at = 0;  // enqueue time, for the sim.event_wait_ms hist
+    std::uint64_t seq = 0;         // tie-break: FIFO among equal timestamps
     std::uint64_t cause_span = 0;  // delivery's send span, or timer's cause
     NodeId from = kNoNode;
     NodeId to = kNoNode;
-    std::uint32_t handler = kTimer;  // delivery handler index, or kTimer
-    std::uint32_t timer = 0;         // timers_ index when handler == kTimer
-    Bytes payload;
-    std::shared_ptr<const Bytes> shared;
+    std::uint32_t tag = 0;   // Kind << kKindShift | handler or timer index
+    std::uint32_t wait = 0;  // at − enqueue time, or kWideWait
+    union {
+      Bytes payload;
+      std::shared_ptr<const Bytes> shared;
+    };
+
+    Event() : payload() {}
+    Event(Event&& o) noexcept;
+    Event& operator=(Event&&) = delete;
+    ~Event();
+
+    [[nodiscard]] Kind kind() const {
+      return static_cast<Kind>(tag >> kKindShift);
+    }
+    [[nodiscard]] std::uint32_t index() const { return tag & kIndexMask; }
   };
-  static_assert(sizeof(Event) <= 88);
+  static_assert(sizeof(Event) == 64);
+
+  /// A FIFO of events stored in fixed-size chunks. Appending never moves an
+  /// event already stored; taking the front frees its chunk once every event
+  /// in it has been taken, so an empty list holds no memory.
+  class EventList {
+   public:
+    EventList() = default;
+    EventList(EventList&& o) noexcept;
+    EventList& operator=(EventList&& o) noexcept;
+    ~EventList();
+
+    [[nodiscard]] bool empty() const { return head_ == nullptr; }
+    void push_back(Event&& ev);
+    /// Moves the oldest event out (precondition: not empty).
+    Event take_front();
+    /// Reorders the events by seq if they are not already in that order.
+    void sort_by_seq();
+    /// Bytes of the chunks held.
+    [[nodiscard]] std::size_t capacity_bytes() const;
+
+   private:
+    struct Chunk;
+    void clear();
+
+    Chunk* head_ = nullptr;
+    Chunk* tail_ = nullptr;
+  };
 
   /// Hierarchical timer wheel. Level L buckets timestamps by bits
   /// [L·kBits, (L+1)·kBits); an event goes to the lowest level whose
@@ -153,42 +203,39 @@ class Simulator : public sgx::TrustedClock {
     static constexpr std::size_t kWords = kSlots / 64;
     static constexpr SimTime kNoTime = std::numeric_limits<SimTime>::max();
 
-    void insert(Event ev);  // precondition: ev.at >= cur()
+    void insert(Event&& ev);  // precondition: ev.at >= cur()
     /// Earliest pending timestamp, if any. O(kLevels) via the occupancy
     /// bitmaps and per-slot minima.
     [[nodiscard]] std::optional<SimTime> peek() const;
     /// Moves the cursor to `to` (precondition: nothing pending before it),
     /// cascading coarse buckets the cursor enters.
     void advance(SimTime to);
-    /// Hands the buffer of events due exactly at the cursor to `out`
-    /// (unsorted; precondition: `out` is empty) and leaves the slot with no
-    /// capacity.
-    void take_due(std::vector<Event>& out);
-    [[nodiscard]] std::size_t size() const { return size_; }
+    /// Hands the chunks of the events due exactly at the cursor to `out`
+    /// (unsorted; precondition: `out` is empty), leaving the slot empty.
+    void take_due(EventList& out);
     [[nodiscard]] SimTime cur() const { return cur_; }
-    /// Capacity, in bytes, of the slot buffers and the overflow list.
+    /// Bytes of the chunks held by the slots and the overflow list.
     [[nodiscard]] std::size_t capacity_bytes() const;
 
    private:
     [[nodiscard]] int level_for(SimTime at) const;
     [[nodiscard]] int scan_from(int level, std::size_t start) const;
-    void place(Event ev);
     void cascade(int level, std::size_t idx);
 
     SimTime cur_ = 0;
-    std::size_t size_ = 0;
-    std::vector<std::vector<Event>> slots_ =
-        std::vector<std::vector<Event>>(kLevels * kSlots);
+    std::vector<EventList> slots_ = std::vector<EventList>(kLevels * kSlots);
     std::vector<SimTime> slot_min_ =
         std::vector<SimTime>(kLevels * kSlots, kNoTime);
     std::array<std::uint64_t, kLevels * kWords> occupied_{};
     // Deltas beyond the top level (> ~34 years of virtual time): kept in an
     // unordered overflow list, re-filed when the cursor gets close.
-    std::vector<Event> far_;
+    EventList far_;
     SimTime far_min_ = kNoTime;
   };
 
-  void enqueue(Event ev);
+  /// A new event due at `at` (clamped to now), with its seq and wait.
+  Event make_event(SimTime at);
+  void enqueue(Event&& ev);
   /// Stores a timer closure in the timer table; returns its index.
   std::uint32_t stash_timer(std::function<void()> fn);
   void fire(Event& ev);
@@ -199,15 +246,17 @@ class Simulator : public sgx::TrustedClock {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::size_t pending_ = 0;  // events in the wheel plus the unfired batch
   SimDuration penalty_ = SimDuration{0};  // unconsumed enclave-transition cost
   Wheel wheel_;
   // The batch of events due at now_, sorted by seq; events scheduled at
   // now_ while the batch drains are appended, keeping FIFO order.
-  std::vector<Event> active_;
-  std::size_t active_pos_ = 0;
+  EventList active_;
+  // Waits of ≥ kWideWait ms (timers armed ~50 days ahead), keyed by seq.
+  std::map<std::uint64_t, SimDuration> wide_waits_;
   std::vector<DeliveryHandler> handlers_;
-  // Timer table: the closures of pending timer events, indexed by
-  // Event::timer. Fired entries go on the free list and are reused by the
+  // Timer table: the closures of pending timer events, indexed by a timer
+  // event's index(). Fired entries go on the free list and are reused by the
   // next schedule().
   std::vector<std::function<void()>> timers_;
   std::vector<std::uint32_t> free_timers_;

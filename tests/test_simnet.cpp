@@ -1,7 +1,7 @@
 // Discrete-event simulator and network tests: event ordering, virtual time,
-// queue memory after a drain, delivery bounds, per-pair FIFO, detach
-// semantics, the shared-bandwidth model, traffic metering, shared sends, and
-// end-to-end determinism.
+// exact event waits, queue memory under load and after a drain, delivery
+// bounds, per-pair FIFO, detach semantics, the shared-bandwidth model,
+// traffic metering, shared sends, and end-to-end determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "net/simulator.hpp"
+#include "obs/metrics.hpp"
 
 namespace sgxp2p::sim {
 namespace {
@@ -100,8 +101,11 @@ SimDuration mixed_delay(Rng& rng) {
 // A seeded random schedule of timers and typed deliveries, many due at the
 // same milliseconds, with delays reaching every wheel level and the
 // overflow list. Timer callbacks arm more timers and deliveries, some due
-// at now while their batch drains. The firing order must be (at, seq):
-// computed here by sorting what was scheduled, not by a second engine.
+// at now while their batch drains. A final burst puts several chunks' worth
+// of events into one millisecond, filed both by cascade and directly, so the
+// batch's seq sort and its appends at now cross chunk boundaries. The firing
+// order must be (at, seq): computed here by sorting what was scheduled, not
+// by a second engine.
 TEST(Simulator, MixedScheduleFiresInTimeThenSeqOrder) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Simulator s;
@@ -129,9 +133,8 @@ TEST(Simulator, MixedScheduleFiresInTimeThenSeqOrder) {
     };
 
     std::uint32_t handler = 0;
-    std::function<void()> arm_timer;
-    auto arm_delivery = [&] {
-      const SimTime at = pick_at();
+    std::function<void(SimTime)> arm_timer;
+    auto arm_delivery = [&](SimTime at) {
       const std::uint64_t id = record(at);
       Delivery d{static_cast<NodeId>(id), static_cast<NodeId>(id * 3), id,
                  {}, nullptr};
@@ -143,9 +146,10 @@ TEST(Simulator, MixedScheduleFiresInTimeThenSeqOrder) {
       }
       s.schedule_delivery(at, handler, std::move(d));
     };
-    auto arm_any = [&] { rng.chance(0.5) ? arm_timer() : arm_delivery(); };
-    arm_timer = [&] {
-      const SimTime at = pick_at();
+    auto arm_any = [&] {
+      rng.chance(0.5) ? arm_timer(pick_at()) : arm_delivery(pick_at());
+    };
+    arm_timer = [&](SimTime at) {
       const std::uint64_t id = record(at);
       s.schedule(at, [&, id] {
         fired.emplace_back(s.now(), id);
@@ -169,6 +173,29 @@ TEST(Simulator, MixedScheduleFiresInTimeThenSeqOrder) {
       for (int i = 0; i < 40; ++i) arm_any();
       s.run_until(s.now() + mixed_delay(rng));
     }
+
+    // The burst, at T in the middle of a level-1 bucket: 150 events armed
+    // ≥ 1024 ms ahead wait at level 1; from 700 ms before T, 150 more go
+    // straight into T's level-0 slot; entering T's bucket then cascades the
+    // first 150 behind them, out of seq order. Every second burst event is
+    // a timer that, firing, arms one more event at now.
+    const SimTime burst_at = (s.now() / 1024 + 3) * 1024 + 512;
+    auto burst = [&] {
+      for (int i = 0; i < 150; ++i) {
+        if (i % 2 == 0) {
+          arm_delivery(burst_at);
+          continue;
+        }
+        const std::uint64_t id = record(burst_at);
+        s.schedule(burst_at, [&, id] {
+          fired.emplace_back(s.now(), id);
+          rng.chance(0.5) ? arm_timer(s.now()) : arm_delivery(s.now());
+        });
+      }
+    };
+    burst();
+    s.run_until(burst_at - 700);
+    burst();
     s.run();
 
     EXPECT_TRUE(s.idle());
@@ -180,9 +207,72 @@ TEST(Simulator, MixedScheduleFiresInTimeThenSeqOrder) {
   }
 }
 
+// sim.event_wait_ms records each event's scheduled-to-fired wait exactly:
+// deliveries at ordinary delays (some in the past, clamped to a wait of 0)
+// and timers armed 2^32 + k and 2^40 + k ms ahead, beyond any 32-bit field,
+// some of them armed by a callback long after t = 0.
+TEST(Simulator, EventWaitHistogramIsExact) {
+  obs::MetricsRegistry reg;
+  Simulator s(reg);
+  std::vector<SimDuration> waits;
+  const std::uint32_t h = s.add_delivery_handler([](Delivery&&) {});
+  auto deliver_in = [&](SimDuration d) {
+    waits.push_back(std::max<SimDuration>(d, 0));
+    s.schedule_delivery(s.now() + d, h, Delivery{0, 1, 0, {}, nullptr});
+  };
+  auto timer_in = [&](SimDuration d) {
+    waits.push_back(d);
+    s.schedule_in(d, [] {});
+  };
+  constexpr SimDuration k32 = SimDuration{1} << 32;
+  constexpr SimDuration k40 = SimDuration{1} << 40;
+  for (SimDuration k = 0; k < 4; ++k) {
+    deliver_in(k);
+    deliver_in(-k);
+    deliver_in(99 + 301 * k);
+    deliver_in(999 + 2000 * k);
+    timer_in(k32 - 2 + k);
+    timer_in(k32 + k * 1000003);
+    timer_in(k40 + k);
+  }
+  // A timer that arms more when it fires, so their waits count from t = 7000.
+  waits.push_back(7000);
+  s.schedule_in(7000, [&] {
+    deliver_in(250);
+    timer_in(k32 + 11);
+    timer_in(k40 + 13);
+  });
+  s.run();
+  EXPECT_TRUE(s.idle());
+
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::HistogramSample* hist = nullptr;
+  for (const auto& sample : snap.histograms) {
+    if (sample.name == "sim.event_wait_ms") hist = &sample;
+  }
+  ASSERT_NE(hist, nullptr);
+  // Bucket i counts waits ≤ bounds[i] (and above bounds[i − 1]); the last
+  // bucket counts the rest.
+  std::vector<std::uint64_t> buckets(hist->bounds.size() + 1, 0);
+  std::int64_t sum = 0;
+  for (SimDuration w : waits) {
+    const auto it =
+        std::lower_bound(hist->bounds.begin(), hist->bounds.end(), w);
+    ++buckets[static_cast<std::size_t>(it - hist->bounds.begin())];
+    sum += w;
+  }
+  EXPECT_EQ(hist->count, waits.size());
+  EXPECT_EQ(hist->sum, sum);
+  EXPECT_EQ(hist->buckets, buckets);
+}
+
 // Drained wheel slots hand their buffers on rather than keeping them: after
 // a 100k-delivery burst runs to idle, the queue holds ≤ 1% of the storage
-// it held with the burst pending.
+// it held with the burst pending. Loaded, it holds the 64-byte event
+// records plus at most one partial chunk per occupied slot, not the slack of
+// buffers that double: 2^10 + 1 deliveries in each of 100 milliseconds, just
+// past a power of two, take ≤ 1.25× their records' bytes, where doubling
+// buffers would take about 2×.
 TEST(Simulator, DrainedQueueHoldsNoCapacity) {
   Simulator s;
   std::size_t delivered = 0;
@@ -200,6 +290,18 @@ TEST(Simulator, DrainedQueueHoldsNoCapacity) {
   s.run();
   EXPECT_EQ(delivered, kBurst);
   EXPECT_LE(s.queue_capacity_bytes() * 100, loaded);
+
+  constexpr std::size_t kPerMs = (std::size_t{1} << 10) + 1;
+  constexpr std::size_t kRecordBytes = 64;
+  for (SimTime ms = 1; ms <= 100; ++ms) {
+    for (std::size_t i = 0; i < kPerMs; ++i) {
+      s.schedule_delivery(s.now() + ms, h, Delivery{0, 1, 0, {}, nullptr});
+    }
+  }
+  ASSERT_EQ(s.pending(), 100 * kPerMs);
+  EXPECT_LE(s.queue_capacity_bytes() * 4, s.pending() * kRecordBytes * 5);
+  s.run();
+  EXPECT_EQ(delivered, kBurst + 100 * kPerMs);
 }
 
 struct NetFixture {
