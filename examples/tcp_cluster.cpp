@@ -2,8 +2,9 @@
 //
 // Same enclave code as the simulator examples, but frames travel on genuine
 // TCP connections and rounds are wall-clock (2Δ = 250 ms). This is the
-// in-process analogue of the paper's DeterLab deployment: to split across
-// machines, only the port-map exchange in TcpBus changes.
+// in-process analogue of the paper's DeterLab deployment. tools/sgxp2p-node
+// splits it into one process per node over the same TcpBus: each process
+// hosts one endpoint, and node i listens on base-port + i.
 #include <cstdio>
 #include <memory>
 

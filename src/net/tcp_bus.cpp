@@ -38,8 +38,37 @@ constexpr std::uint32_t kTagPending = 3;  // index = fd
 // payload), so one syscall can carry up to 32 coalesced frames.
 constexpr int kMaxIov = 64;
 
+// Reconnect backoff: first retry after 25 ms, doubling up to 2 s.
+constexpr std::uint32_t kReconnectBaseMs = 25;
+constexpr std::uint32_t kReconnectMaxMs = 2000;
+// How long a single-endpoint start() waits for every peer's connection.
+constexpr std::int64_t kStartDeadlineMs = 15000;
+
 std::uint64_t epoll_data(std::uint32_t tag, std::uint32_t idx) {
   return (static_cast<std::uint64_t>(tag) << 32) | idx;
+}
+
+sockaddr_in loopback(std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
+}
+
+// A listening socket on 127.0.0.1:port (0: OS-assigned); -1 on failure.
+int listen_loopback(std::uint16_t port, int backlog) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr = loopback(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
+      ::listen(fd, backlog) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 bool set_nonblocking(int fd) {
@@ -68,6 +97,12 @@ SteadyClock::SteadyClock()
 SimTime SteadyClock::now() const {
   auto now_ns = std::chrono::steady_clock::now().time_since_epoch().count();
   return (now_ns - epoch_ns_) / 1'000'000;
+}
+
+SimTime RealtimeClock::now() const {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
 }
 
 const char* send_status_name(SendStatus status) {
@@ -100,6 +135,13 @@ TcpBus::TcpBus(std::uint32_t n, TcpBusOptions options)
   writev_batch_ =
       &reg.histogram("net.tcp.writev_batch", {1, 2, 4, 8, 16, 32, 64, 128});
   tx_queue_peak_ = &reg.gauge("net.tcp.tx_queue_peak_bytes");
+}
+
+TcpBus::TcpBus(NodeId self, std::vector<std::uint16_t> ports,
+               TcpBusOptions options)
+    : TcpBus(static_cast<std::uint32_t>(ports.size()), options) {
+  self_ = self;
+  ports_ = std::move(ports);
 }
 
 TcpBus::~TcpBus() { stop(); }
@@ -136,26 +178,48 @@ bool TcpBus::start() {
     return false;
   };
 
-  // One listener per node, OS-assigned port on loopback. Listeners stay open
-  // (and registered with epoll below) so failed connections can redial.
+  if (!(self_ == kNoNode ? open_local_mesh() : open_own_endpoints())) {
+    return fail();
+  }
+
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epfd_ < 0 || wake_fd_ < 0) return fail();
+  if (!register_fd(wake_fd_, kTagWake, 0, EPOLLIN)) return fail();
   for (std::uint32_t i = 0; i < n_; ++i) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return fail();
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-        ::listen(fd, static_cast<int>(n_)) < 0) {
-      ::close(fd);
+    if (listeners_[i] < 0) continue;  // a peer's, in a single-endpoint bus
+    if (!set_nonblocking(listeners_[i]) ||
+        !register_fd(listeners_[i], kTagListener, i, EPOLLIN)) {
       return fail();
     }
+  }
+  for (std::uint32_t idx = 0; idx < endpoints_.size(); ++idx) {
+    Endpoint& e = *endpoints_[idx];
+    if (e.fd < 0) continue;  // not dialed yet
+    if (!set_nonblocking(e.fd) ||
+        !register_fd(e.fd, kTagEndpoint, idx, EPOLLIN | EPOLLOUT | EPOLLET)) {
+      return fail();
+    }
+  }
+
+  running_.store(true, std::memory_order_release);
+  io_thread_ = std::thread([this] { io_loop(); });
+  return self_ == kNoNode || await_endpoints();
+}
+
+// All-local bring-up: listeners, then the full mesh. On failure the caller
+// closes whatever was opened.
+bool TcpBus::open_local_mesh() {
+  // One listener per node, OS-assigned port on loopback. Listeners stay open
+  // (and registered with epoll) so failed connections can redial.
+  for (std::uint32_t i = 0; i < n_; ++i) {
+    const int fd = listen_loopback(0, static_cast<int>(n_));
+    if (fd < 0) return false;
+    listeners_[i] = fd;
+    sockaddr_in addr{};
     socklen_t len = sizeof addr;
     ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
     ports_[i] = ntohs(addr.sin_port);
-    listeners_[i] = fd;
   }
 
   // Mesh: for each pair (lo, hi), hi dials lo's listener and announces the
@@ -164,14 +228,11 @@ bool TcpBus::start() {
   for (std::uint32_t hi = 1; hi < n_; ++hi) {
     for (std::uint32_t lo = 0; lo < hi; ++lo) {
       int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) return fail();
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(ports_[lo]);
+      if (fd < 0) return false;
+      sockaddr_in addr = loopback(ports_[lo]);
       if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
         ::close(fd);
-        return fail();
+        return false;
       }
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -180,12 +241,12 @@ bool TcpBus::start() {
       store_le32(hello + 4, lo);
       if (!write_all(fd, hello, sizeof hello)) {
         ::close(fd);
-        return fail();
+        return false;
       }
       int afd = ::accept(listeners_[lo], nullptr, nullptr);
       if (afd < 0) {
         ::close(fd);
-        return fail();
+        return false;
       }
       ::setsockopt(afd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       std::uint8_t hello_in[kHello];
@@ -195,7 +256,7 @@ bool TcpBus::start() {
         if (r <= 0) {
           ::close(fd);
           ::close(afd);
-          return fail();
+          return false;
         }
         got += static_cast<std::size_t>(r);
       }
@@ -220,28 +281,49 @@ bool TcpBus::start() {
       endpoints_.push_back(std::move(acceptor));
     }
   }
-
-  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epfd_ < 0 || wake_fd_ < 0) return fail();
-  if (!register_fd(wake_fd_, kTagWake, 0, EPOLLIN)) return fail();
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    if (!set_nonblocking(listeners_[i]) ||
-        !register_fd(listeners_[i], kTagListener, i, EPOLLIN)) {
-      return fail();
-    }
-  }
-  for (std::uint32_t idx = 0; idx < endpoints_.size(); ++idx) {
-    Endpoint& e = *endpoints_[idx];
-    if (!set_nonblocking(e.fd) ||
-        !register_fd(e.fd, kTagEndpoint, idx, EPOLLIN | EPOLLOUT | EPOLLET)) {
-      return fail();
-    }
-  }
-
-  running_.store(true, std::memory_order_release);
-  io_thread_ = std::thread([this] { io_loop(); });
   return true;
+}
+
+// Single-endpoint bring-up: one listener on our own port, and one endpoint
+// per peer, all down. They come up through the reconnect path: the dialer
+// side (self > peer) dials at once and retries with backoff while the peer
+// boots; the acceptor side waits for the peer's hello.
+bool TcpBus::open_own_endpoints() {
+  if (self_ >= n_) return false;
+  listeners_[self_] = listen_loopback(ports_[self_], static_cast<int>(n_));
+  if (listeners_[self_] < 0) return false;
+  for (NodeId peer = 0; peer < n_; ++peer) {
+    if (peer == self_) continue;
+    auto e = std::make_unique<Endpoint>();
+    e->self = self_;
+    e->peer = peer;
+    e->is_dialer = self_ > peer;
+    e->first_dial = e->is_dialer;
+    e->retry_at = e->is_dialer ? now_ms() : -1;
+    e->down = true;
+    by_pair_[pair_key(self_, peer)] =
+        static_cast<std::uint32_t>(endpoints_.size());
+    endpoints_.push_back(std::move(e));
+  }
+  return true;
+}
+
+bool TcpBus::await_endpoints() {
+  const std::int64_t deadline = now_ms() + kStartDeadlineMs;
+  std::size_t missing = 0;
+  do {
+    missing = 0;
+    for (auto& e : endpoints_) {
+      std::lock_guard<std::mutex> lock(e->mu);
+      if (e->down) ++missing;
+    }
+    if (missing == 0) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  } while (now_ms() < deadline);
+  LOG_WARN("tcp_bus: node ", self_, ": ", missing, " of ", endpoints_.size(),
+           " peers not connected after ", kStartDeadlineMs, " ms");
+  stop();
+  return false;
 }
 
 void TcpBus::stop() {
@@ -653,10 +735,14 @@ bool TcpBus::drain_rx(Endpoint& e) {
 
 void TcpBus::fail_pair(std::uint32_t idx) {
   Endpoint& e = *endpoints_[idx];
-  Endpoint& s = *endpoints_[e.sib];
-  const bool was_live = e.fd >= 0 || s.fd >= 0 || e.connecting || s.connecting;
+  // No sibling in a single-endpoint bus: the peer's process fails its own
+  // half when it sees the connection close, and redials if it is the dialer.
+  Endpoint* s = e.sib == kNoSib ? nullptr : endpoints_[e.sib].get();
+  const bool was_live = e.fd >= 0 || e.connecting ||
+                        (s != nullptr && (s->fd >= 0 || s->connecting));
   if (was_live) conn_failures_->inc();
-  for (Endpoint* x : {&e, &s}) {
+  for (Endpoint* x : {&e, s}) {
+    if (x == nullptr) continue;
     std::lock_guard<std::mutex> lock(x->mu);
     if (x->fd >= 0) {
       ::epoll_ctl(epfd_, EPOLL_CTL_DEL, x->fd, nullptr);
@@ -673,20 +759,20 @@ void TcpBus::fail_pair(std::uint32_t idx) {
     x->rx.clear();
     x->rx_head = 0;
   }
-  Endpoint& d = e.is_dialer ? e : s;
-  if (options_.reconnect && running_.load(std::memory_order_acquire)) {
-    d.backoff_ms =
-        d.backoff_ms == 0
-            ? options_.reconnect_base_ms
-            : std::min(d.backoff_ms * 2, options_.reconnect_max_ms);
-    d.retry_at = now_ms() + d.backoff_ms;
+  Endpoint* d = e.is_dialer ? &e : s;
+  if (d != nullptr && options_.reconnect &&
+      running_.load(std::memory_order_acquire)) {
+    d->backoff_ms = d->backoff_ms == 0
+                        ? kReconnectBaseMs
+                        : std::min(d->backoff_ms * 2, kReconnectMaxMs);
+    d->retry_at = now_ms() + d->backoff_ms;
   }
 }
 
 void TcpBus::attempt_redial(std::uint32_t idx) {
   Endpoint& d = *endpoints_[idx];
   d.retry_at = -1;
-  if (!running_.load(std::memory_order_acquire) || !options_.reconnect) return;
+  if (!running_.load(std::memory_order_acquire)) return;
   {
     std::lock_guard<std::mutex> lock(d.mu);
     if (!d.down) return;
@@ -696,10 +782,7 @@ void TcpBus::attempt_redial(std::uint32_t idx) {
     redial_failed(d);
     return;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(ports_[d.peer]);
+  sockaddr_in addr = loopback(ports_[d.peer]);
   int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
   if (rc == 0) {
     d.fd = fd;
@@ -726,8 +809,8 @@ void TcpBus::attempt_redial(std::uint32_t idx) {
 }
 
 void TcpBus::redial_failed(Endpoint& d) {
-  d.backoff_ms = std::min(std::max(d.backoff_ms * 2, options_.reconnect_base_ms),
-                          options_.reconnect_max_ms);
+  d.backoff_ms =
+      std::min(std::max(d.backoff_ms * 2, kReconnectBaseMs), kReconnectMaxMs);
   d.retry_at = now_ms() + d.backoff_ms;
 }
 
@@ -747,8 +830,9 @@ void TcpBus::finish_redial(std::uint32_t idx) {
     d.txq.push_front(std::move(hello));
     d.tx_bytes += kHello;
   }
-  reconnects_->inc();
-  LOG_DEBUG("tcp_bus: reconnected ", d.self, "<->", d.peer);
+  if (!d.first_dial) reconnects_->inc();
+  d.first_dial = false;
+  LOG_DEBUG("tcp_bus: connected ", d.self, "->", d.peer);
   service_tx(idx);
 }
 

@@ -4,10 +4,13 @@
 // benchmarks; this module gives realism — the same protocol enclaves run
 // over genuine TCP connections with length-prefixed frames and wall-clock
 // rounds (the role Boost.Asio played in the paper's prototype). One TcpBus
-// hosts all N endpoints of an in-process deployment: each node gets its own
-// listening socket (OS-assigned port) and a full mesh of connections is
-// established pairwise, so moving a node to another process later only
-// changes how the port map is shared.
+// hosts either all N endpoints of an in-process deployment, or just one
+// node's endpoints in a multi-process deployment (tools/sgxp2p-node, one
+// process per node). All-local: each node gets its own listening socket
+// (OS-assigned port) and the full mesh is connected pairwise at start().
+// Single-endpoint: the node listens on its entry of a fixed port map, dials
+// every lower id and accepts every higher one through the same code that
+// heals broken connections.
 //
 // TcpBus is the production data plane: a nonblocking epoll(7) event loop
 // with edge-triggered reads into persistent per-connection rx buffers,
@@ -57,6 +60,15 @@ class SteadyClock final : public sgx::TrustedClock {
   std::int64_t epoch_ns_;
 };
 
+/// Wall-clock trusted time shared ACROSS processes: milliseconds of
+/// CLOCK_REALTIME. The paper's synchronous-start assumption S2 ("starting at
+/// a time posted in public servers", Appendix G) needs a common reference;
+/// on one machine — or NTP-synced machines — realtime is that reference.
+class RealtimeClock final : public sgx::TrustedClock {
+ public:
+  [[nodiscard]] SimTime now() const override;
+};
+
 /// What happened to a frame handed to send()/multicast(). kOk means the
 /// frame was accepted into the connection's outbound queue (delivery is
 /// still best-effort TCP); the error statuses replace the old silent drop.
@@ -77,11 +89,9 @@ struct TcpBusOptions {
   /// the watermark is still admitted into an empty queue, so max_frame-sized
   /// blobs remain sendable).
   std::size_t tx_high_watermark = 4u * 1024 * 1024;
-  /// Reconnect backoff: first retry after base ms, doubling up to max.
-  std::uint32_t reconnect_base_ms = 25;
-  std::uint32_t reconnect_max_ms = 2000;
   /// When false a failed connection stays down (tests that want to observe
-  /// the kDown state without racing the redialer).
+  /// the kDown state without racing the redialer). A single-endpoint bus
+  /// still makes its first dials.
   bool reconnect = true;
 };
 
@@ -90,7 +100,12 @@ class TcpBus {
   /// Frame arriving for `to`, sent by `from`. Invoked on the I/O thread.
   using Receiver = std::function<void(NodeId to, NodeId from, Bytes blob)>;
 
+  /// All-local: endpoints for nodes [0, n) on OS-assigned loopback ports.
   explicit TcpBus(std::uint32_t n, TcpBusOptions options = {});
+  /// Single-endpoint: node `self` of ports.size() nodes, where node i
+  /// listens on 127.0.0.1:ports[i]. Only `self` can send.
+  TcpBus(NodeId self, std::vector<std::uint16_t> ports,
+         TcpBusOptions options = {});
   ~TcpBus();
 
   TcpBus(const TcpBus&) = delete;
@@ -98,8 +113,11 @@ class TcpBus {
 
   void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
-  /// Binds N listeners, builds the pairwise mesh, starts the I/O thread.
-  /// Returns false if any socket operation fails.
+  /// All-local: binds N listeners, builds the pairwise mesh, starts the I/O
+  /// thread. Single-endpoint: binds ports[self], starts the I/O thread, and
+  /// waits up to 15 s until every peer's connection is up (peers may still
+  /// be booting). Returns false, with everything closed, if any socket
+  /// operation fails or the deadline passes.
   bool start();
   void stop();
 
@@ -147,11 +165,15 @@ class TcpBus {
       return header_len + (payload ? payload->size() : 0);
     }
   };
+  static constexpr std::uint32_t kNoSib = 0xffffffffu;
   struct Endpoint {
     NodeId self = kNoNode;
     NodeId peer = kNoNode;
-    std::uint32_t sib = 0;  // index of the pair's other endpoint
+    // Index of the pair's other endpoint; kNoSib when it lives in the
+    // peer's process (single-endpoint bus).
+    std::uint32_t sib = kNoSib;
     bool is_dialer = false;  // self > peer: this side redials on failure
+    bool first_dial = false;  // the next connect is not a reconnect
 
     // I/O-thread-only state.
     int fd = -1;
@@ -206,8 +228,12 @@ class TcpBus {
   void finish_redial(std::uint32_t idx);
   bool register_fd(int fd, std::uint32_t tag, std::uint32_t idx,
                    std::uint32_t events);
+  [[nodiscard]] bool open_local_mesh();
+  [[nodiscard]] bool open_own_endpoints();
+  [[nodiscard]] bool await_endpoints();
 
   std::uint32_t n_;
+  NodeId self_ = kNoNode;  // kNoNode: all-local bus
   TcpBusOptions options_;
   Receiver receiver_;
   std::vector<std::uint16_t> ports_;
@@ -232,8 +258,7 @@ class TcpBus {
   std::atomic<std::uint64_t> bytes_sent_{0};
 
   // Instrument handles, resolved once from MetricsRegistry::current() on the
-  // constructing thread and touched from the I/O thread as relaxed atomics
-  // (the MeshTransport pattern).
+  // constructing thread and touched from the I/O thread as relaxed atomics.
   obs::Counter* sends_ = nullptr;
   obs::Counter* sent_bytes_ = nullptr;
   obs::Counter* received_ = nullptr;

@@ -63,7 +63,7 @@ void TcpTestbed::host_transfer(NodeId from, NodeId to, Bytes blob) {
 }
 
 bool TcpTestbed::build(const EnclaveFactory& make_enclave) {
-  bus_ = std::make_unique<TcpBus>(cfg_.n, cfg_.bus_options);
+  bus_ = std::make_unique<TcpBus>(cfg_.n);
 
   protocol::PeerConfig pc;
   pc.n = cfg_.n;

@@ -29,7 +29,6 @@ struct TcpTestbedConfig {
   std::uint32_t t = 0;              // 0 → ⌊(n−1)/2⌋
   SimDuration round_ms = 250;       // wall-clock round (2Δ); localhost Δ≈125ms
   std::uint64_t seed = 1;
-  TcpBusOptions bus_options;
 };
 
 class TcpTestbed {

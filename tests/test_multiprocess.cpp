@@ -1,14 +1,19 @@
 // Multi-process integration: spawns N sgxp2p-node processes (real fork/exec,
 // real TCP between them, wire-level attested setup, wall-clock rounds) and
-// checks that every process decided the same value.
+// checks that every process decided the same value, that a deployment with
+// a missing node fails at the bring-up deadline instead of hanging, and that
+// a port range outside 1–65535 is rejected.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifndef SGXP2P_NODE_BIN
@@ -24,6 +29,36 @@ std::string read_file(const std::string& path) {
   return content;
 }
 
+// Forks one node process with `args` as its flags; its stdout is quieted.
+pid_t spawn_node(const std::vector<std::string>& args) {
+  std::vector<char*> argv{const_cast<char*>(SGXP2P_NODE_BIN)};
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  pid_t pid = fork();
+  if (pid == 0) {
+    (void)!freopen("/dev/null", "w", stdout);
+    execv(SGXP2P_NODE_BIN, argv.data());
+    _exit(127);  // exec failed
+  }
+  return pid;
+}
+
+// Waits up to `timeout` for `pid` to exit and returns its exit code; a node
+// still running then is killed, which returns -1.
+int exit_code_within(pid_t pid, std::chrono::seconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  int status = 0;
+  while (waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 // Launches `n` node processes and returns their --out file contents.
 std::vector<std::string> run_deployment(int n, int base_port,
                                         const std::string& protocol,
@@ -34,20 +69,10 @@ std::vector<std::string> run_deployment(int n, int base_port,
     std::string out = "/tmp/sgxp2p-node-" + std::to_string(getpid()) + "-" +
                       std::to_string(base_port) + "-" + std::to_string(i);
     out_files.push_back(out);
-    pid_t pid = fork();
-    if (pid == 0) {
-      std::string id = std::to_string(i);
-      std::string ns = std::to_string(n);
-      std::string port = std::to_string(base_port);
-      // Quiet the children.
-      (void)!freopen("/dev/null", "w", stdout);
-      execl(SGXP2P_NODE_BIN, SGXP2P_NODE_BIN, "--id", id.c_str(), "--n",
-            ns.c_str(), "--base-port", port.c_str(), "--round-ms", "150",
-            "--protocol", protocol.c_str(), "--payload", payload.c_str(),
-            "--out", out.c_str(), static_cast<char*>(nullptr));
-      _exit(127);  // exec failed
-    }
-    pids.push_back(pid);
+    pids.push_back(spawn_node(
+        {"--id", std::to_string(i), "--n", std::to_string(n), "--base-port",
+         std::to_string(base_port), "--round-ms", "150", "--protocol",
+         protocol, "--payload", payload, "--out", out}));
   }
   for (pid_t pid : pids) {
     int status = 0;
@@ -92,6 +117,28 @@ TEST(MultiProcess, ErngFourProcessesShareRandomness) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_NE(results[i].find("decided=1"), std::string::npos) << results[i];
     EXPECT_EQ(value_of(results[i]), v0) << results[i];
+  }
+}
+
+TEST(MultiProcess, StartFailsWhenPeerMissing) {
+  // Node 1 never starts: node 0 waits for its dial, and nodes 2 and 3 dial
+  // it in vain. Each gives up at the 15 s bring-up deadline and exits 1.
+  const std::string port = std::to_string(pick_port(1000));
+  std::vector<pid_t> pids;
+  for (const char* id : {"0", "2", "3"}) {
+    pids.push_back(spawn_node({"--id", id, "--n", "4", "--base-port", port}));
+  }
+  for (pid_t pid : pids) {
+    EXPECT_EQ(exit_code_within(pid, std::chrono::seconds(30)), 1);
+  }
+}
+
+TEST(MultiProcess, RejectsOutOfRangeBasePort) {
+  // 65534 + 3 overflows a port: unchecked, node 2 would get port 0 (any
+  // port the kernel picks) and node 3 port 1.
+  for (const char* base : {"65534", "0"}) {
+    pid_t pid = spawn_node({"--id", "0", "--n", "4", "--base-port", base});
+    EXPECT_EQ(exit_code_within(pid, std::chrono::seconds(5)), 2) << base;
   }
 }
 
