@@ -1,6 +1,6 @@
-# Runs one paper-figure bench and compares the sha256 of its stdout with a
-# committed digest. On a mismatch it prints the actual digest and a diff
-# against the committed expected output, then fails.
+# Runs one binary (a paper-figure bench, sgxp2p-sim) and compares the sha256
+# of its stdout with a committed digest. On a mismatch it prints the actual
+# digest and a diff against the committed expected output, then fails.
 #
 #   cmake -DBENCH=<binary> -DARGS="<space-separated flags>" -DSHA256=<hex>
 #         -DEXPECTED=<committed stdout> -DACTUAL=<where to write stdout>
