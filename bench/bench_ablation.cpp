@@ -13,61 +13,14 @@
 #include "bench_util.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/merkle.hpp"
-#include "protocol/erng_opt.hpp"
 #include "stats/table.hpp"
 
 namespace {
 using namespace sgxp2p;
 
-bench::RunStats run_erb_halt_ablation(std::uint32_t n, std::uint32_t f,
-                                      bool enable_halt, std::uint64_t seed) {
-  sim::Testbed bed(bench::bench_config(n, seed, protocol::ChannelMode::kAccounted));
-  auto plan = std::make_shared<adversary::ChainPlan>();
-  for (NodeId id = 0; id < f; ++id) plan->order.push_back(id);
-  plan->release = adversary::ChainPlan::Release::kSingleHonest;
-  plan->honest_target = f;
-
-  bed.build(
-      [&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-          protocol::PeerConfig cfg,
-          const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-        return std::make_unique<protocol::ErbNode>(
-            platform, id, host, cfg, ias, NodeId{0},
-            id == 0 ? to_bytes("payload") : Bytes{}, enable_halt);
-      },
-      [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
-        if (id < f) return std::make_unique<adversary::ChainStrategy>(plan);
-        return nullptr;
-      });
-  bed.start();
-  bench::RunStats out;
-  out.rounds = bed.run_rounds(bed.config().effective_t() + 4, [&]() {
-    for (NodeId id : bed.honest_nodes()) {
-      if (!bed.enclave_as<protocol::ErbNode>(id).result().decided) {
-        return false;
-      }
-    }
-    return true;
-  });
-  out.messages = bed.network().meter().messages();
-  out.bytes = bed.network().meter().bytes();
-  return out;
-}
-
-bench::RunStats run_opt_phase_ablation(std::uint32_t n, bool one_phase,
-                                       std::uint64_t seed) {
-  auto cfg = bench::bench_config(n, seed, protocol::ChannelMode::kAccounted);
-  cfg.t = n / 3;
-  protocol::ErngOptParams params;
-  params.one_phase = one_phase;
-  sim::Testbed bed(cfg);
-  bed.build([&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-                protocol::PeerConfig pc, const sgx::SimIAS& ias)
-                -> std::unique_ptr<protocol::PeerEnclave> {
-    return std::make_unique<protocol::ErngOptNode>(platform, id, host, pc, ias,
-                                                   params);
-  });
-  return bench::finish_erng<protocol::ErngOptNode>(bed, n + 8);
+sim::TestbedConfig ablation_config(std::uint32_t n, std::uint64_t seed) {
+  return scenario::sim_config(n, seed, scenario::kBenchDelta,
+                              protocol::ChannelMode::kAccounted);
 }
 
 }  // namespace
@@ -79,7 +32,8 @@ int main(int argc, char** argv) {
   {
     stats::Table table({"P4", "rounds", "messages", "bytes"});
     for (bool halt : {true, false}) {
-      auto r = run_erb_halt_ablation(129, 16, halt, 5);
+      auto r = scenario::run_erb(ablation_config(129, 5), to_bytes("payload"),
+                                 16, halt);
       table.add_row({halt ? "on" : "off", std::to_string(r.rounds),
                      stats::fmt_int(r.messages), stats::fmt_int(r.bytes)});
     }
@@ -137,7 +91,8 @@ int main(int argc, char** argv) {
   {
     stats::Table table({"sampling", "rounds", "messages", "bytes"});
     for (bool one_phase : {false, true}) {
-      auto r = run_opt_phase_ablation(192, one_phase, 7);
+      auto r = scenario::run_erng_opt(ablation_config(192, 7),
+                                      {.one_phase = one_phase});
       table.add_row({one_phase ? "one-phase (all initiate)" : "two-phase (γ')",
                      std::to_string(r.rounds), stats::fmt_int(r.messages),
                      stats::fmt_int(r.bytes)});

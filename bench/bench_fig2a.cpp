@@ -18,11 +18,13 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 2a: ERB honest termination vs N ===\n");
   std::printf("round time = 2s (Delta = 1s); times are virtual seconds\n\n");
 
-  auto runs = bench::run_sweep<bench::RunStats>(
+  auto runs = bench::run_sweep<scenario::Report>(
       static_cast<std::size_t>(max_exp), jobs, [&](std::size_t i) {
         int e = static_cast<int>(i) + 1;
-        return bench::run_erb(1u << e, 0, protocol::ChannelMode::kAccounted,
-                              42 + e);
+        return scenario::run_erb(
+            scenario::sim_config(1u << e, 42 + e, scenario::kBenchDelta,
+                                 protocol::ChannelMode::kAccounted),
+            bench::kErbPayload);
       });
 
   stats::Table table({"N", "rounds", "one round (s)", "ERB termination (s)",
@@ -31,7 +33,7 @@ int main(int argc, char** argv) {
     std::uint32_t n = 1u << (i + 1);
     const auto& r = runs[i];
     table.add_row({std::to_string(n), std::to_string(r.rounds),
-                   stats::fmt(2.0), stats::fmt(r.termination_s),
+                   stats::fmt(2.0), stats::fmt(r.termination_s()),
                    stats::fmt_int(r.messages)});
   }
   table.print();

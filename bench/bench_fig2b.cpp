@@ -27,16 +27,16 @@ int main(int argc, char** argv) {
   // ERNG-basic, odd index = ERNG-opt at the same N.
   std::size_t count = max_exp >= 2 ? 2 * static_cast<std::size_t>(max_exp - 1)
                                    : 0;
-  auto runs = bench::run_sweep<bench::RunStats>(
+  auto runs = bench::run_sweep<scenario::Report>(
       count, jobs, [&](std::size_t i) {
         int e = 2 + static_cast<int>(i / 2);
-        std::uint32_t n = 1u << e;
-        return i % 2 == 0
-                   ? bench::run_erng_basic(n, protocol::ChannelMode::kAccounted,
-                                           11 + e)
-                   : bench::run_erng_opt(n, /*force_fallback=*/true,
-                                         protocol::ChannelMode::kAccounted,
-                                         11 + e, /*one_phase=*/true);
+        const sim::TestbedConfig cfg =
+            scenario::sim_config(1u << e, 11 + e, scenario::kBenchDelta,
+                                 protocol::ChannelMode::kAccounted);
+        return i % 2 == 0 ? scenario::run_erng_basic(cfg)
+                          : scenario::run_erng_opt(
+                                cfg, {.force_fallback = true,
+                                      .one_phase = true});
       });
 
   stats::Table table({"N", "variant", "rounds", "term (s)",
@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
     // Bandwidth model: all traffic ultimately serializes through the
     // shared testbed link, so termination cannot beat bytes / bandwidth.
     double adjusted = std::max(
-        r.termination_s, static_cast<double>(r.bytes) / kLinkBytesPerSec);
+        r.termination_s(), static_cast<double>(r.bytes) / kLinkBytesPerSec);
     table.add_row({std::to_string(n),
                    i % 2 == 0 ? "ERNG-basic" : "ERNG-opt",
-                   std::to_string(r.rounds), stats::fmt(r.termination_s),
+                   std::to_string(r.rounds), stats::fmt(r.termination_s()),
                    stats::fmt(adjusted),
                    stats::fmt(static_cast<double>(r.bytes) / (1024 * 1024),
                               3)});

@@ -26,12 +26,14 @@ int main(int argc, char** argv) {
   std::vector<std::uint32_t> denoms;
   for (std::uint32_t denom = n; denom >= 4; denom /= 2) denoms.push_back(denom);
 
-  auto runs = bench::run_sweep<bench::RunStats>(
+  auto runs = bench::run_sweep<scenario::Report>(
       denoms.size(), jobs, [&](std::size_t i) {
         std::uint32_t denom = denoms[i];
         // fraction 1/denom of the network is byzantine
-        return bench::run_erb(n, n / denom, protocol::ChannelMode::kAccounted,
-                              1000 + denom);
+        return scenario::run_erb(
+            scenario::sim_config(n, 1000 + denom, scenario::kBenchDelta,
+                                 protocol::ChannelMode::kAccounted),
+            bench::kErbPayload, n / denom);
       });
 
   stats::Table table({"fraction", "f", "rounds", "termination (s)",
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
     std::uint32_t f = n / denom;
     const auto& r = runs[i];
     table.add_row({"1/" + std::to_string(denom), std::to_string(f),
-                   std::to_string(r.rounds), stats::fmt(r.termination_s),
+                   std::to_string(r.rounds), stats::fmt(r.termination_s()),
                    std::to_string(f + 2)});
   }
   table.print();

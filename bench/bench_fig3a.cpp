@@ -19,11 +19,13 @@ int main(int argc, char** argv) {
 
   std::printf("=== Figure 3a: ERB traffic vs N (Th vs Ex) ===\n\n");
 
-  auto runs = bench::run_sweep<bench::RunStats>(
+  auto runs = bench::run_sweep<scenario::Report>(
       static_cast<std::size_t>(max_exp), jobs, [&](std::size_t i) {
         int e = static_cast<int>(i) + 1;
-        return bench::run_erb(1u << e, 0, protocol::ChannelMode::kAccounted,
-                              7 + e);
+        return scenario::run_erb(
+            scenario::sim_config(1u << e, 7 + e, scenario::kBenchDelta,
+                                 protocol::ChannelMode::kAccounted),
+            bench::kErbPayload);
       });
   std::vector<double> ns, mbs;
   std::vector<std::uint64_t> msgs;
@@ -54,16 +56,10 @@ int main(int argc, char** argv) {
   // O(N), the ECHO+ACK round O(N²) — the quadratic term in one picture.
   {
     std::uint32_t n = 256;
-    sim::Testbed bed(bench::bench_config(n, 5, protocol::ChannelMode::kAccounted));
+    sim::Testbed bed(scenario::sim_config(n, 5, scenario::kBenchDelta,
+                                          protocol::ChannelMode::kAccounted));
     bed.network().meter().enable_timeline(bed.config().effective_round());
-    Bytes payload = to_bytes("profile payload");
-    bed.build([&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-                  protocol::PeerConfig cfg, const sgx::SimIAS& ias)
-                  -> std::unique_ptr<protocol::PeerEnclave> {
-      return std::make_unique<protocol::ErbNode>(platform, id, host, cfg, ias,
-                                                 NodeId{0},
-                                                 id == 0 ? payload : Bytes{});
-    });
+    bed.build(scenario::erb_factory(0, to_bytes("profile payload")));
     bed.start();
     bed.run_rounds(4);
     std::printf("\nper-round traffic at N=%u (KiB): ", n);

@@ -25,16 +25,16 @@ int main(int argc, char** argv) {
   // larger N).
   std::size_t count = max_exp >= 2 ? 2 * static_cast<std::size_t>(max_exp - 1)
                                    : 0;
-  auto runs = bench::run_sweep<bench::RunStats>(
+  auto runs = bench::run_sweep<scenario::Report>(
       count, jobs, [&](std::size_t i) {
         int e = 2 + static_cast<int>(i / 2);
-        std::uint32_t n = 1u << e;
-        return i % 2 == 0
-                   ? bench::run_erng_basic(n, protocol::ChannelMode::kAccounted,
-                                           3 + e)
-                   : bench::run_erng_opt(n, /*force_fallback=*/true,
-                                         protocol::ChannelMode::kAccounted,
-                                         3 + e, /*one_phase=*/true);
+        const sim::TestbedConfig cfg =
+            scenario::sim_config(1u << e, 3 + e, scenario::kBenchDelta,
+                                 protocol::ChannelMode::kAccounted);
+        return i % 2 == 0 ? scenario::run_erng_basic(cfg)
+                          : scenario::run_erng_opt(
+                                cfg, {.force_fallback = true,
+                                      .one_phase = true});
       });
   std::vector<double> ns, mb0, mb1;
   for (std::size_t i = 0; i + 1 < runs.size(); i += 2) {

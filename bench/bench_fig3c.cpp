@@ -27,14 +27,14 @@ int main(int argc, char** argv) {
   for (std::uint32_t denom = 256; denom >= 4; denom /= 2) {
     denoms.push_back(denom);
   }
-  auto runs = bench::run_sweep<bench::RunStats>(
+  auto runs = bench::run_sweep<scenario::Report>(
       denoms.size() + 1, jobs, [&](std::size_t i) {
-        if (i == 0) {
-          return bench::run_erb(n, 0, protocol::ChannelMode::kAccounted, 2024);
-        }
-        std::uint32_t denom = denoms[i - 1];
-        return bench::run_erb(n, n / denom, protocol::ChannelMode::kAccounted,
-                              500 + denom);
+        const std::uint32_t denom = i == 0 ? 0 : denoms[i - 1];
+        return scenario::run_erb(
+            scenario::sim_config(n, i == 0 ? 2024 : 500 + denom,
+                                 scenario::kBenchDelta,
+                                 protocol::ChannelMode::kAccounted),
+            bench::kErbPayload, i == 0 ? 0 : n / denom);
       });
 
   double honest_mb = static_cast<double>(runs[0].bytes) / (1024.0 * 1024.0);

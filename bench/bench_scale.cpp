@@ -29,9 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -47,18 +45,6 @@ namespace {
 using namespace sgxp2p;
 
 constexpr double kBudget2000s = 120.0;  // n=2000 wall-clock budget (full mode)
-
-/// Cumulative process peak RSS in KiB (Linux VmHWM; 0 where unavailable).
-long peak_rss_kb() {
-  std::ifstream f("/proc/self/status");
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::atol(line.c_str() + 6);
-    }
-  }
-  return 0;
-}
 
 struct PointResult {
   std::uint32_t n = 0;
@@ -86,57 +72,38 @@ PointResult run_point(std::uint32_t n) {
   // Cold pool per point: reuse within a run is measured, not inherited.
   obs::BufferPool::local().clear();
 
-  sim::TestbedConfig cfg =
-      bench::bench_config(n, 1, protocol::ChannelMode::kAccounted);
+  sim::TestbedConfig cfg = scenario::sim_config(
+      n, 1, scenario::kBenchDelta, protocol::ChannelMode::kAccounted);
   cfg.t = 1;  // termination after t+2 = 3 rounds; n² fan-out dominates
-  Bytes payload = to_bytes("scale benchmark broadcast payload");
 
   auto setup_t0 = std::chrono::steady_clock::now();
   sim::Testbed bed(cfg);
-  bed.build([&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-                protocol::PeerConfig pc,
-                const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-    return std::make_unique<protocol::ErbNode>(platform, id, host, pc, ias,
-                                               NodeId{0},
-                                               id == 0 ? payload : Bytes{});
-  });
+  bed.build(scenario::erb_factory(
+      0, to_bytes("scale benchmark broadcast payload")));
   out.setup_s = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - setup_t0)
                     .count();
 
-  auto honest_done = [&]() {
-    for (NodeId id : bed.honest_nodes()) {
-      if (!bed.enclave_as<protocol::ErbNode>(id).result().decided) {
-        return false;
-      }
-    }
-    return true;
-  };
-
   auto t0 = std::chrono::steady_clock::now();
   bed.start();
-  out.rounds = bed.run_rounds(cfg.effective_t() + 4, honest_done);
+  out.rounds = bed.run_rounds(scenario::t_budget(cfg.effective_t()),
+                              scenario::honest_done(bed));
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();
 
   out.events = out.registry->counter("sim.events_fired").value();
-  out.messages = bed.network().meter().messages();
-  out.decided = true;
-  SimTime latest = 0;
-  for (NodeId id : bed.honest_nodes()) {
-    const auto& r = bed.enclave_as<protocol::ErbNode>(id).result();
-    if (!r.decided) out.decided = false;
-    latest = std::max(latest, r.decided_at);
-  }
-  out.virt_s = to_seconds(latest - bed.start_time());
+  const scenario::Report report = scenario::collect(bed, out.rounds);
+  out.messages = report.messages;
+  out.decided = report.honest_done();
+  out.virt_s = report.termination_s();
 
   const auto& ps = obs::BufferPool::local().stats();
   out.pool_hit_pct = ps.acquires > 0
                          ? 100.0 * static_cast<double>(ps.hits) /
                                static_cast<double>(ps.acquires)
                          : 0;
-  out.rss_kb = peak_rss_kb();
+  out.rss_kb = bench::peak_rss_kb();
   return out;
 }
 
@@ -309,7 +276,7 @@ int main(int argc, char** argv) {
   reg.gauge("bench.scale_max_n").set(static_cast<std::int64_t>(ns.back()));
   reg.gauge("bench.scale_deterministic").set(deterministic ? 1 : 0);
   reg.gauge("bench.scale_peak_rss_kb")
-      .set(static_cast<std::int64_t>(peak_rss_kb()));
+      .set(static_cast<std::int64_t>(bench::peak_rss_kb()));
   // Wall-clock, so gauges: the baseline compare reads counters only.
   for (const auto& [n, s] : setup_by_n) {
     reg.gauge("bench.scale_setup_us_" + std::to_string(n))

@@ -32,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,18 +43,6 @@
 namespace {
 
 using namespace sgxp2p;
-
-/// Cumulative process peak RSS in KiB (Linux VmHWM; 0 where unavailable).
-long peak_rss_kb() {
-  std::ifstream f("/proc/self/status");
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::atol(line.c_str() + 6);
-    }
-  }
-  return 0;
-}
 
 struct PointResult {
   std::uint32_t n = 0;
@@ -85,8 +72,8 @@ PointResult run_point(std::uint32_t n, std::uint64_t epochs) {
   obs::MetricsRegistry::ScopedCurrent bind(*out.registry);
   obs::BufferPool::local().clear();  // cold pool per point
 
-  sim::TestbedConfig cfg =
-      bench::bench_config(n, 1, protocol::ChannelMode::kAccounted);
+  sim::TestbedConfig cfg = scenario::sim_config(
+      n, 1, scenario::kBenchDelta, protocol::ChannelMode::kAccounted);
   // Sharded deployment: no pre-wired clique. Accounted channels need no
   // per-peer link state, so the bootstrap stays O(n) and FIFO slots grow
   // with pairs that actually talk (committee-mates + tree reps).
@@ -117,7 +104,7 @@ PointResult run_point(std::uint32_t n, std::uint64_t epochs) {
   bed.network().publish_capacity_gauges();
   out.fifo_slots = bed.network().fifo_pair_slots();
   out.sink_slots = bed.network().sink_slots();
-  out.rss_kb = peak_rss_kb();
+  out.rss_kb = bench::peak_rss_kb();
   return out;
 }
 
@@ -220,7 +207,7 @@ int main(int argc, char** argv) {
   reg.gauge("bench.shard_oracles_ok").set(all_ok ? 1 : 0);
   reg.gauge("bench.shard_deterministic").set(deterministic ? 1 : 0);
   reg.gauge("bench.shard_peak_rss_kb")
-      .set(static_cast<std::int64_t>(peak_rss_kb()));
+      .set(static_cast<std::int64_t>(bench::peak_rss_kb()));
   bench::finish_obs(obs_opts);
   return all_ok && deterministic && sublinear ? 0 : 1;
 }

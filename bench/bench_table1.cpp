@@ -27,16 +27,9 @@ struct BaselineRun {
   std::uint64_t bytes = 0;
 };
 
-sim::NetworkConfig plain_net() {
-  sim::NetworkConfig cfg;
-  cfg.base_delay = milliseconds(500);
-  cfg.max_jitter = milliseconds(500);
-  return cfg;
-}
-
 BaselineRun run_rb_sig(std::uint32_t n) {
   const std::uint32_t t = (n - 1) / 2;
-  sim::PlainBed bed(n, plain_net());
+  sim::PlainBed bed(n, scenario::network(scenario::kBenchDelta));
   bed.build([&](NodeId id) {
     Bytes seed =
         crypto::Sha256::hash_bytes(to_bytes("t1-" + std::to_string(id)));
@@ -65,7 +58,7 @@ BaselineRun run_rb_sig(std::uint32_t n) {
 
 BaselineRun run_rb_early(std::uint32_t n, bool crash_initiator) {
   const std::uint32_t t = (n - 1) / 2;
-  sim::PlainBed bed(n, plain_net());
+  sim::PlainBed bed(n, scenario::network(scenario::kBenchDelta));
   bed.build([&](NodeId id) {
     return std::make_unique<protocol::RbEarlyNode>(
         id, n, t, NodeId{0}, id == 0 ? to_bytes("m") : Bytes{});
@@ -101,7 +94,8 @@ int main(int argc, char** argv) {
   stats::Table table({"N", "protocol", "rounds", "messages", "bytes"});
   std::vector<double> ns, erb_b, sig_b, early_b;
   for (std::uint32_t n = 8; n <= static_cast<std::uint32_t>(max_n); n *= 2) {
-    auto erb = bench::run_erb(n, 0, protocol::ChannelMode::kAttested, n);
+    auto erb = scenario::run_erb(
+        scenario::sim_config(n, n, scenario::kBenchDelta), bench::kErbPayload);
     auto sig = run_rb_sig(n);
     auto early = run_rb_early(n, /*crash_initiator=*/false);
     ns.push_back(n);
@@ -142,7 +136,9 @@ int main(int argc, char** argv) {
   std::printf("  RBearly: rounds=%u messages=%llu bytes=%llu\n", early_f.rounds,
               static_cast<unsigned long long>(early_f.messages),
               static_cast<unsigned long long>(early_f.bytes));
-  auto erb_f = bench::run_erb(33, 1, protocol::ChannelMode::kAttested, 9);
+  auto erb_f = scenario::run_erb(
+      scenario::sim_config(33, 9, scenario::kBenchDelta), bench::kErbPayload,
+      1);
   std::printf("  ERB    : rounds=%u messages=%llu bytes=%llu\n", erb_f.rounds,
               static_cast<unsigned long long>(erb_f.messages),
               static_cast<unsigned long long>(erb_f.bytes));

@@ -19,20 +19,20 @@ int main(int argc, char** argv) {
       {"N", "variant", "rounds", "messages", "bytes", "term (s)"});
   std::vector<double> ns, basic_b, opt_b;
   for (std::uint32_t n = 16; n <= static_cast<std::uint32_t>(max_n); n *= 2) {
-    auto basic =
-        bench::run_erng_basic(n, protocol::ChannelMode::kAccounted, n);
+    const sim::TestbedConfig cfg = scenario::sim_config(
+        n, n, scenario::kBenchDelta, protocol::ChannelMode::kAccounted);
+    auto basic = scenario::run_erng_basic(cfg);
     // Sampled two-phase cluster (the asymptotic configuration).
-    auto opt = bench::run_erng_opt(n, /*force_fallback=*/false,
-                                   protocol::ChannelMode::kAccounted, n);
+    auto opt = scenario::run_erng_opt(cfg);
     ns.push_back(n);
     basic_b.push_back(static_cast<double>(basic.bytes));
     opt_b.push_back(static_cast<double>(opt.bytes));
     table.add_row({std::to_string(n), "ERNG-basic", std::to_string(basic.rounds),
                    stats::fmt_int(basic.messages), stats::fmt_int(basic.bytes),
-                   stats::fmt(basic.termination_s)});
+                   stats::fmt(basic.termination_s())});
     table.add_row({std::to_string(n), "ERNG-opt", std::to_string(opt.rounds),
                    stats::fmt_int(opt.messages), stats::fmt_int(opt.bytes),
-                   stats::fmt(opt.termination_s)});
+                   stats::fmt(opt.termination_s())});
   }
   table.print();
 

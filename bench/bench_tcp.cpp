@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +34,6 @@
 #include "net/tcp_bus.hpp"
 #include "net/tcp_testbed.hpp"
 #include "obs/metrics.hpp"
-#include "protocol/erb_node.hpp"
 
 namespace {
 
@@ -187,41 +187,19 @@ ErbResult run_erb_tcp(std::uint32_t n, SimDuration round_ms) {
   cfg.round_ms = round_ms;
   net::TcpTestbed bed(cfg);
 
-  const Bytes payload = to_bytes("bench_tcp erb payload");
-  const NodeId initiator = 0;
-  bool ok = bed.build(
-      [&](NodeId id, sgx::SgxPlatform& platform, sgx::EnclaveHostIface& host,
-          protocol::PeerConfig pc,
-          const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-        return std::make_unique<protocol::ErbNode>(
-            platform, id, host, pc, ias, initiator,
-            id == initiator ? payload : Bytes{});
-      });
-  if (!ok) {
+  if (!bed.build(scenario::erb_factory(0, to_bytes("bench_tcp erb payload")))) {
     std::fprintf(stderr, "bench_tcp: erb mesh bring-up failed (n=%u)\n", n);
     std::exit(1);
   }
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
   const auto t0 = clock_t_::now();
   bed.start();
   ErbResult r;
-  r.rounds = bed.run_rounds(bed.config().t + 6, [&] {
-    for (NodeId id = 0; id < n; ++id) {
-      if (!bed.enclave_as<protocol::ErbNode>(id).result().decided) {
-        return false;
-      }
-    }
-    return true;
-  });
+  r.rounds =
+      bed.run_rounds(bed.config().t + 6, scenario::honest_done(bed, all));
   r.decide_ms = seconds_since(t0) * 1e3;
-  const bool all = bed.locked([&] {
-    for (NodeId id = 0; id < n; ++id) {
-      if (!bed.enclave_as<protocol::ErbNode>(id).result().decided) {
-        return false;
-      }
-    }
-    return true;
-  });
-  if (!all) {
+  if (!scenario::collect(bed, r.rounds, all).honest_done()) {
     std::fprintf(stderr, "bench_tcp: erb did not decide within %u rounds\n",
                  r.rounds);
     std::exit(1);

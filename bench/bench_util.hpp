@@ -1,165 +1,44 @@
-// Shared experiment runners for the figure/table benchmarks.
+// Shared plumbing for the figure/table benchmarks: flags, the parallel
+// sweep runner and the metrics/trace outputs. The stacks themselves come
+// from the scenario library (scenario/scenario.hpp).
 //
-// Calibration: Δ = 1 s (round = 2Δ = 2 s of virtual time), chosen so the
-// honest-case ERB termination lands near the paper's ~4 s and the N=512,
-// t/N=1/4 chain-delay worst case lands in the paper's few-hundred-seconds
-// regime. All reported times are VIRTUAL seconds from the discrete-event
-// clock — shape, not wall-clock, is the reproduction target (DESIGN.md §1).
+// Calibration: Δ = 1 s (scenario::kBenchDelta; round = 2Δ = 2 s of virtual
+// time), chosen so the honest-case ERB termination lands near the paper's
+// ~4 s and the N=512, t/N=1/4 chain-delay worst case lands in the paper's
+// few-hundred-seconds regime. All reported times are VIRTUAL seconds from
+// the discrete-event clock — shape, not wall-clock, is the reproduction
+// target (DESIGN.md §1).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "adversary/strategies.hpp"
 #include "common/log.hpp"
-#include "net/testbed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "protocol/erb_node.hpp"
-#include "protocol/erng_basic.hpp"
-#include "protocol/erng_opt.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p::bench {
 
-inline sim::TestbedConfig bench_config(std::uint32_t n, std::uint64_t seed,
-                                       protocol::ChannelMode mode) {
-  sim::TestbedConfig cfg;
-  cfg.n = n;
-  cfg.seed = seed;
-  cfg.net.base_delay = milliseconds(500);
-  cfg.net.max_jitter = milliseconds(500);  // Δ = 1 s
-  cfg.mode = mode;
-  return cfg;
-}
+/// The ERB message of the figure benches' runs.
+inline const Bytes kErbPayload = to_bytes("benchmark broadcast payload bytes");
 
-struct RunStats {
-  std::uint32_t rounds = 0;        // rounds executed by the harness
-  double termination_s = 0;        // max honest decision time (virtual s)
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  bool all_decided = false;
-  bool all_value = false;          // every honest decision was non-⊥
-};
-
-/// Honest (or chain-byzantine) ERB execution. `f` byzantine nodes form the
-/// Section 6.3 chain (f = 0 → all honest); the initiator is node 0 (the
-/// chain head when f > 0).
-inline RunStats run_erb(std::uint32_t n, std::uint32_t f,
-                        protocol::ChannelMode mode, std::uint64_t seed = 1) {
-  sim::Testbed bed(bench_config(n, seed, mode));
-
-  std::shared_ptr<adversary::ChainPlan> plan;
-  if (f > 0) {
-    plan = std::make_shared<adversary::ChainPlan>();
-    for (NodeId id = 0; id < f; ++id) plan->order.push_back(id);
-    plan->release = adversary::ChainPlan::Release::kSingleHonest;
-    plan->honest_target = f;
+/// Cumulative process peak RSS in KiB (Linux VmHWM; 0 where unavailable).
+inline long peak_rss_kb() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::atol(line.c_str() + 6);
   }
-
-  Bytes payload = to_bytes("benchmark broadcast payload bytes");
-  bed.build(
-      [&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-          protocol::PeerConfig cfg,
-          const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-        return std::make_unique<protocol::ErbNode>(
-            platform, id, host, cfg, ias, NodeId{0},
-            id == 0 ? payload : Bytes{});
-      },
-      [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
-        if (plan && id < f) {
-          return std::make_unique<adversary::ChainStrategy>(plan);
-        }
-        return nullptr;
-      });
-  bed.start();
-
-  auto honest_done = [&]() {
-    for (NodeId id : bed.honest_nodes()) {
-      if (!bed.enclave_as<protocol::ErbNode>(id).result().decided) {
-        return false;
-      }
-    }
-    return true;
-  };
-  RunStats out;
-  out.rounds = bed.run_rounds(bed.config().effective_t() + 4, honest_done);
-  out.messages = bed.network().meter().messages();
-  out.bytes = bed.network().meter().bytes();
-  out.all_decided = true;
-  out.all_value = true;
-  SimTime latest = 0;
-  for (NodeId id : bed.honest_nodes()) {
-    const auto& r = bed.enclave_as<protocol::ErbNode>(id).result();
-    if (!r.decided) out.all_decided = false;
-    if (!r.value.has_value()) out.all_value = false;
-    latest = std::max(latest, r.decided_at);
-  }
-  out.termination_s = to_seconds(latest - bed.start_time());
-  return out;
-}
-
-template <typename NodeT>
-RunStats finish_erng(sim::Testbed& bed, std::uint32_t max_rounds) {
-  bed.start();
-  auto done = [&]() {
-    for (NodeId id : bed.honest_nodes()) {
-      if (!bed.enclave_as<NodeT>(id).result().done) return false;
-    }
-    return true;
-  };
-  RunStats out;
-  out.rounds = bed.run_rounds(max_rounds, done);
-  out.messages = bed.network().meter().messages();
-  out.bytes = bed.network().meter().bytes();
-  out.all_decided = true;
-  out.all_value = true;
-  SimTime latest = 0;
-  for (NodeId id : bed.honest_nodes()) {
-    const auto& r = bed.enclave_as<NodeT>(id).result();
-    if (!r.done) out.all_decided = false;
-    if (r.is_bottom) out.all_value = false;
-    latest = std::max(latest, r.decided_at);
-  }
-  out.termination_s = to_seconds(latest - bed.start_time());
-  return out;
-}
-
-inline RunStats run_erng_basic(std::uint32_t n, protocol::ChannelMode mode,
-                               std::uint64_t seed = 1) {
-  sim::Testbed bed(bench_config(n, seed, mode));
-  bed.build([&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-                protocol::PeerConfig cfg, const sgx::SimIAS& ias)
-                -> std::unique_ptr<protocol::PeerEnclave> {
-    return std::make_unique<protocol::ErngBasicNode>(platform, id, host, cfg,
-                                                     ias);
-  });
-  return finish_erng<protocol::ErngBasicNode>(
-      bed, bed.config().effective_t() + 4);
-}
-
-inline RunStats run_erng_opt(std::uint32_t n, bool force_fallback,
-                             protocol::ChannelMode mode,
-                             std::uint64_t seed = 1, bool one_phase = false) {
-  auto cfg = bench_config(n, seed, mode);
-  cfg.t = std::max(1u, n / 3);  // optimized variant assumes t ≤ N/3
-  if (2 * cfg.t >= n) cfg.t = (n - 1) / 2;
-  sim::Testbed bed(cfg);
-  protocol::ErngOptParams params;
-  params.force_fallback = force_fallback;
-  params.one_phase = one_phase;
-  bed.build([&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-                protocol::PeerConfig pc, const sgx::SimIAS& ias)
-                -> std::unique_ptr<protocol::PeerEnclave> {
-    return std::make_unique<protocol::ErngOptNode>(platform, id, host, pc, ias,
-                                                   params);
-  });
-  return finish_erng<protocol::ErngOptNode>(bed, n + 8);
+  return 0;
 }
 
 /// Parses a single `--max-exp K` style flag; returns `fallback` when absent.

@@ -2,11 +2,10 @@
 
 #include <memory>
 
-#include "adversary/strategies.hpp"
 #include "common/serde.hpp"
 #include "crypto/sha256.hpp"
-#include "net/testbed.hpp"
 #include "protocol/erng_basic.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p::apps {
 
@@ -61,35 +60,18 @@ BeaconLog run_beacon(std::uint32_t n, std::uint32_t epochs,
                      std::uint32_t byzantine_omitters, std::uint64_t seed) {
   BeaconLog log;
   for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
-    sim::TestbedConfig cfg;
-    cfg.n = n;
-    cfg.seed = seed * 1000 + epoch;
-    cfg.net.base_delay = milliseconds(100);
-    cfg.net.max_jitter = milliseconds(100);
-    sim::Testbed bed(cfg);
-    bed.build(
-        [](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-           protocol::PeerConfig pc,
-           const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-          return std::make_unique<protocol::ErngBasicNode>(platform, id, host,
-                                                           pc, ias);
-        },
-        [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
-          if (id >= n - byzantine_omitters) {
-            return std::make_unique<adversary::RandomOmissionStrategy>(0.5,
-                                                                       0.2);
-          }
-          return nullptr;
-        });
+    sim::Testbed bed(scenario::sim_config(n, seed * 1000 + epoch));
+    bed.build(scenario::erng_basic_factory(),
+              [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
+                if (id >= n - byzantine_omitters) {
+                  return std::make_unique<adversary::RandomOmissionStrategy>(
+                      0.5, 0.2);
+                }
+                return nullptr;
+              });
     bed.start();
-    bed.run_rounds(bed.config().effective_t() + 4, [&]() {
-      for (NodeId id : bed.honest_nodes()) {
-        if (!bed.enclave_as<protocol::ErngBasicNode>(id).result().done) {
-          return false;
-        }
-      }
-      return true;
-    });
+    bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                   scenario::honest_done(bed));
     const auto& r =
         bed.enclave_as<protocol::ErngBasicNode>(bed.honest_nodes().front())
             .result();

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p::fuzz {
 
@@ -106,7 +107,7 @@ Schedule generate_schedule(FuzzTarget target, std::uint64_t campaign_seed,
     case FuzzTarget::kErb: {
       s.n = 4 + static_cast<std::uint32_t>(rng.next_below(5));  // 4–8
       s.t = (s.n - 1) / 2;
-      s.max_rounds = s.t + 4;
+      s.max_rounds = scenario::t_budget(s.t);
       std::vector<NodeId> pool;
       for (NodeId id = 0; id < s.n; ++id) pool.push_back(id);
       std::size_t want = 1 + rng.next_below(s.t);
@@ -117,7 +118,7 @@ Schedule generate_schedule(FuzzTarget target, std::uint64_t campaign_seed,
     case FuzzTarget::kErngBasic: {
       s.n = 4 + static_cast<std::uint32_t>(rng.next_below(4));  // 4–7
       s.t = (s.n - 1) / 2;
-      s.max_rounds = s.t + 4;
+      s.max_rounds = scenario::t_budget(s.t);
       std::vector<NodeId> pool;
       for (NodeId id = 0; id < s.n; ++id) pool.push_back(id);
       std::size_t want = 1 + rng.next_below(s.t);
@@ -127,9 +128,8 @@ Schedule generate_schedule(FuzzTarget target, std::uint64_t campaign_seed,
     }
     case FuzzTarget::kErngOpt: {
       s.n = 6 + static_cast<std::uint32_t>(rng.next_below(7));  // 6–12
-      s.t = std::max(1u, s.n / 3);
-      if (2 * s.t >= s.n) s.t = (s.n - 1) / 2;
-      s.max_rounds = s.n + 8;
+      s.t = scenario::erng_opt_t(s.n);
+      s.max_rounds = scenario::n_budget(s.n);
       // Fallback cluster = ids < ⌈2n/3⌉; leave the FINAL quorum reachable.
       const NodeId n_c = (2 * s.n + 2) / 3;
       const std::size_t cap = n_c - (n_c / 2 + 1);
@@ -137,7 +137,7 @@ Schedule generate_schedule(FuzzTarget target, std::uint64_t campaign_seed,
       for (NodeId id = 0; id < s.n; ++id) pool.push_back(id);
       std::size_t want = 1 + rng.next_below(s.t);
       add_faulted_actions(rng, s, pick_faulted(rng, pool, want, n_c, cap),
-                          std::min(s.max_rounds, s.t + 4),
+                          std::min(s.max_rounds, scenario::t_budget(s.t)),
                           /*allow_crash=*/true);
       break;
     }
@@ -147,7 +147,6 @@ Schedule generate_schedule(FuzzTarget target, std::uint64_t campaign_seed,
       s.n = roster + 1;  // one fresh joiner rides along (liveness proof)
       s.t = (roster - 1) / 2;
       s.checkpoint_every = 1 + static_cast<std::uint32_t>(rng.next_below(3));
-      const std::uint32_t W = s.t + 2;
 
       // Victim: any roster member except the sponsors (0 and 2).
       std::vector<NodeId> victims;
@@ -160,9 +159,10 @@ Schedule generate_schedule(FuzzTarget target, std::uint64_t campaign_seed,
       const bool recovers = rng.chance(0.85);
       const std::uint32_t recover_at =
           crash_at + 2 + static_cast<std::uint32_t>(rng.next_below(3));
-      const std::uint32_t w_rejoin =
-          recovers ? (recover_at - 1 + W - 1) / W : 2;
-      s.max_rounds = (w_rejoin + 4) * W;
+      const scenario::RecoveryWindows rw = scenario::recovery_windows(
+          s.t, crash_at, recovers ? recover_at : 0);
+      // Without a relaunch, the budget of a rejoin in window 2.
+      s.max_rounds = recovers ? rw.budget() : 6 * rw.W;
 
       s.actions.push_back({ActionKind::kCrash, victim, crash_at, kNoNode, 0});
       if (recovers) {
@@ -186,7 +186,7 @@ Schedule generate_schedule(FuzzTarget target, std::uint64_t campaign_seed,
       if (budget > 0 && !pool.empty() && rng.chance(0.6)) {
         std::size_t want = 1 + rng.next_below(budget);
         add_faulted_actions(rng, s, pick_faulted(rng, pool, want, 0, 0),
-                            std::min(s.max_rounds, crash_at + W),
+                            std::min(s.max_rounds, crash_at + rw.W),
                             /*allow_crash=*/false);
       }
       break;

@@ -10,6 +10,7 @@
 #include "fuzz/runner.hpp"
 #include "fuzz/shrinker.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p::fuzz {
 
@@ -62,8 +63,7 @@ Schedule base_schedule(const ModelCheckOptions& opt) {
       break;
     case FuzzTarget::kErngOpt:
       s.n = std::max(opt.n, 3u);
-      s.t = std::max(1u, s.n / 3);
-      if (2 * s.t >= s.n) s.t = (s.n - 1) / 2;
+      s.t = scenario::erng_opt_t(s.n);
       break;
     case FuzzTarget::kRecovery:
       s.n = std::max(opt.n, 5u);  // roster + fresh joiner

@@ -41,6 +41,7 @@
 
 #include "fuzz/coverage.hpp"
 #include "fuzz/schedule.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p::fuzz {
 
@@ -83,5 +84,28 @@ struct RunReport {
 /// True iff both runs violated exactly the same oracle set (the shrinker's
 /// acceptance test: a smaller schedule still "fails the same way").
 [[nodiscard]] bool same_violations(const RunReport& a, const RunReport& b);
+
+// ----- the ERB and ERNG judgement, shared by both runners -----------------
+
+/// The message the ERB target's initiator, node 0, broadcasts.
+inline constexpr const char* kErbPayload = "fuzz erb payload";
+
+/// ERB's honest-node oracles over one run: erb.termination, erb.agreement,
+/// erb.validity (an honest `initiator` ⇒ every honest node decided
+/// `payload`) and, when `canary` is set, canary.no_bottom. Dead and faulted
+/// nodes never fire.
+[[nodiscard]] std::vector<Violation> judge_erb(const scenario::Report& report,
+                                               NodeId initiator,
+                                               const Bytes& payload,
+                                               bool canary);
+
+/// ERNG's (basic and opt): erng.termination and erng.agreement — the same
+/// ⊥-ness, and the same value unless ⊥.
+[[nodiscard]] std::vector<Violation> judge_erng(const scenario::Report& report);
+
+/// One node's outcome token: ":m=<first 8 bytes hex>", ":bot" or
+/// ":undecided" for ERB; ":r=…", ":bot" or ":pending" for ERNG.
+[[nodiscard]] std::string node_outcome(const scenario::NodeReport& node,
+                                       bool erb);
 
 }  // namespace sgxp2p::fuzz

@@ -13,18 +13,13 @@
 #include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "protocol/erb_node.hpp"
-#include "protocol/erng_basic.hpp"
-#include "protocol/erng_opt.hpp"
-#include "recovery/coordinator.hpp"
 #include "recovery/recoverable_node.hpp"
+#include "scenario/scenario.hpp"
 #include "shard/coordinator.hpp"
 
 namespace sgxp2p::fuzz {
 
 namespace {
-
-constexpr const char* kErbPayload = "fuzz erb payload";
 
 /// The schedule's actions, split by who executes them: message-level faults
 /// run inside each node's ScheduleStrategy; partitions and crashes are
@@ -96,17 +91,6 @@ CompiledSchedule compile(const Schedule& s) {
   return c;
 }
 
-std::vector<NodeId> honest_set(const Schedule& s) {
-  std::vector<NodeId> faulted = s.faulted_nodes();
-  std::vector<NodeId> honest;
-  for (NodeId id = 0; id < s.n; ++id) {
-    if (!std::binary_search(faulted.begin(), faulted.end(), id)) {
-      honest.push_back(id);
-    }
-  }
-  return honest;
-}
-
 /// One shared driver: builds the testbed, wires strategies + round hook,
 /// runs, and leaves target-specific outcome collection to the caller.
 struct RunContext {
@@ -126,12 +110,8 @@ struct RunContext {
 
   static sim::TestbedConfig make_config(const Schedule& s,
                                         obs::MetricsRegistry& registry) {
-    sim::TestbedConfig cfg;
-    cfg.n = s.n;
+    sim::TestbedConfig cfg = scenario::sim_config(s.n, s.seed);
     cfg.t = s.t;
-    cfg.seed = s.seed;
-    cfg.net.base_delay = milliseconds(100);
-    cfg.net.max_jitter = milliseconds(100);
     cfg.registry = &registry;
     return cfg;
   }
@@ -144,8 +124,7 @@ struct RunContext {
     };
   }
 
-  /// Installs the partition/crash driver. Call AFTER any coordinator
-  /// install() (this chains; set_round_hook replaces).
+  /// Installs the partition/crash driver, after any coordinator hook.
   void install_fault_hook(std::uint32_t n) {
     bed.add_round_hook([this, n](std::uint32_t round) {
       if (auto it = heal_at.find(round); it != heal_at.end()) {
@@ -224,147 +203,41 @@ void finalize(const Schedule& schedule, const obs::MetricsRegistry& registry,
                                      report.outcome, report.rounds, snap);
 }
 
-// ----- ERB ---------------------------------------------------------------
+// ----- ERB, ERNG-basic, ERNG-opt -----------------------------------------
 
-RunReport run_erb(const Schedule& s, const RunOptions& opts,
-                  obs::MetricsRegistry& registry) {
+RunReport run_stack(const Schedule& s, const RunOptions& opts,
+                    obs::MetricsRegistry& registry) {
   RunContext ctx(s, registry);
+  const bool erb = s.target == FuzzTarget::kErb;
   const Bytes payload = to_bytes(kErbPayload);
-  const NodeId initiator = 0;
-  ctx.bed.build(
-      [&payload, initiator](NodeId id, sgx::SgxPlatform& platform,
-                            net::Host& host, protocol::PeerConfig pc,
-                            const sgx::SimIAS& ias)
-          -> std::unique_ptr<protocol::PeerEnclave> {
-        return std::make_unique<protocol::ErbNode>(
-            platform, id, host, pc, ias, initiator,
-            id == initiator ? payload : Bytes{});
-      },
-      ctx.strategy_factory());
-  ctx.install_fault_hook(s.n);
-  ctx.start();
-
-  const std::vector<NodeId> honest = honest_set(s);
-  RunReport report;
-  report.rounds = ctx.bed.run_rounds(s.max_rounds, [&]() {
-    for (NodeId id : honest) {
-      if (!ctx.bed.has_enclave(id) ||
-          !ctx.bed.enclave_as<protocol::ErbNode>(id).result().decided) {
-        return false;
-      }
-    }
-    return true;
-  });
-
-  std::ostringstream outcome;
-  bool have_ref = false;
-  std::optional<Bytes> ref;
-  const bool initiator_honest =
-      std::find(honest.begin(), honest.end(), initiator) != honest.end();
-  for (NodeId id = 0; id < s.n; ++id) {
-    const bool is_honest =
-        std::find(honest.begin(), honest.end(), id) != honest.end();
-    if (!ctx.bed.has_enclave(id)) {
-      outcome << id << ":dead ";
-      continue;
-    }
-    const auto& r = ctx.bed.enclave_as<protocol::ErbNode>(id).result();
-    outcome << id << (r.decided ? (r.value ? ":m=" + hex8(*r.value) : ":bot")
-                                : ":undecided")
-            << " ";
-    if (!is_honest) continue;
-    if (!r.decided) {
-      report.violations.push_back(
-          {oracle::kErbTermination,
-           "honest node " + std::to_string(id) + " undecided after " +
-               std::to_string(report.rounds) + " rounds"});
-      continue;
-    }
-    if (!have_ref) {
-      ref = r.value;
-      have_ref = true;
-    } else if (r.value != ref) {
-      report.violations.push_back(
-          {oracle::kErbAgreement,
-           "honest node " + std::to_string(id) + " disagrees with the first "
-           "honest decision"});
-    }
-    if (initiator_honest && (!r.value || *r.value != payload)) {
-      report.violations.push_back(
-          {oracle::kErbValidity,
-           "initiator honest but node " + std::to_string(id) +
-               " did not decide m"});
-    }
-    if (opts.canary && !r.value) {
-      report.violations.push_back(
-          {oracle::kCanaryNoBottom,
-           "node " + std::to_string(id) + " decided ⊥"});
-    }
+  scenario::Factory factory;
+  if (erb) {
+    factory = scenario::erb_factory(0, payload);
+  } else if (s.target == FuzzTarget::kErngBasic) {
+    factory = scenario::erng_basic_factory();
+  } else {
+    factory = scenario::erng_opt_factory();
   }
-  report.outcome = outcome.str();
-  finalize(s, registry, report);
-  return report;
-}
-
-// ----- ERNG (basic + opt share the oracle shape) -------------------------
-
-template <typename NodeT>
-RunReport run_erng(const Schedule& s, obs::MetricsRegistry& registry,
-                   const sim::Testbed::EnclaveFactory& factory) {
-  RunContext ctx(s, registry);
   ctx.bed.build(factory, ctx.strategy_factory());
   ctx.install_fault_hook(s.n);
   ctx.start();
 
-  const std::vector<NodeId> honest = honest_set(s);
+  const std::vector<NodeId> honest = s.honest_nodes();
   RunReport report;
-  report.rounds = ctx.bed.run_rounds(s.max_rounds, [&]() {
-    for (NodeId id : honest) {
-      if (!ctx.bed.has_enclave(id) ||
-          !ctx.bed.enclave_as<NodeT>(id).result().done) {
-        return false;
-      }
-    }
-    return true;
-  });
-
+  report.rounds =
+      ctx.bed.run_rounds(s.max_rounds, scenario::honest_done(ctx.bed, honest));
+  const scenario::Report run =
+      scenario::collect(ctx.bed, report.rounds, honest);
   std::ostringstream outcome;
-  bool have_ref = false;
-  bool ref_bottom = false;
-  Bytes ref_value;
   for (NodeId id = 0; id < s.n; ++id) {
-    const bool is_honest =
-        std::find(honest.begin(), honest.end(), id) != honest.end();
-    if (!ctx.bed.has_enclave(id)) {
-      outcome << id << ":dead ";
-      continue;
-    }
-    const auto& r = ctx.bed.enclave_as<NodeT>(id).result();
     outcome << id
-            << (r.done ? (r.is_bottom ? ":bot" : ":r=" + hex8(r.value))
-                       : ":pending")
+            << (run.nodes[id].live ? node_outcome(run.nodes[id], erb)
+                                   : ":dead")
             << " ";
-    if (!is_honest) continue;
-    if (!r.done) {
-      report.violations.push_back(
-          {oracle::kErngTermination,
-           "honest node " + std::to_string(id) + " has no output after " +
-               std::to_string(report.rounds) + " rounds"});
-      continue;
-    }
-    if (!have_ref) {
-      ref_bottom = r.is_bottom;
-      ref_value = r.value;
-      have_ref = true;
-    } else if (r.is_bottom != ref_bottom ||
-               (!r.is_bottom && r.value != ref_value)) {
-      report.violations.push_back(
-          {oracle::kErngAgreement,
-           "honest node " + std::to_string(id) +
-               " output differs from the first honest output"});
-    }
   }
   report.outcome = outcome.str();
+  report.violations = erb ? judge_erb(run, 0, payload, opts.canary)
+                          : judge_erng(run);
   finalize(s, registry, report);
   return report;
 }
@@ -373,59 +246,19 @@ RunReport run_erng(const Schedule& s, obs::MetricsRegistry& registry,
 
 RunReport run_recovery(const Schedule& s, obs::MetricsRegistry& registry) {
   RunContext ctx(s, registry);
-  const std::uint32_t roster_n = s.n - 1;
-  const NodeId extra = s.n - 1;  // joins fresh — the liveness proof
   const bool recovers = ctx.compiled.recover_round != 0;
-
-  // Join plan, derived purely from the schedule so replays are identical.
-  // recovery_windows() is the same geometry Schedule::min_rounds uses, so a
-  // validated schedule always has enough rounds for the last window here.
-  const RecoveryWindows rw = recovery_windows(s);
-  std::vector<protocol::JoinPlanEntry> join_plan(rw.w_extra + 1);
-  if (recovers) {
-    join_plan[rw.w_rejoin] = {ctx.compiled.victim, NodeId{0}, true};
-    join_plan[rw.w_rejoin + 1] = {ctx.compiled.victim, NodeId{2}, true};
-  }
-  join_plan[rw.w_extra] = {extra, NodeId{0}, false};
-
-  std::vector<NodeId> roster0;
-  for (NodeId id = 0; id < roster_n; ++id) roster0.push_back(id);
-  sim::Testbed::EnclaveFactory factory =
-      [roster0, join_plan](NodeId id, sgx::SgxPlatform& platform,
-                           net::Host& host, protocol::PeerConfig pc,
-                           const sgx::SimIAS& ias)
-      -> std::unique_ptr<protocol::PeerEnclave> {
-    return std::make_unique<recovery::RecoverableNode>(platform, id, host, pc,
-                                                       ias, roster0, join_plan);
-  };
-  ctx.bed.build(factory, ctx.strategy_factory());
-
-  recovery::RecoveryPlan plan;
-  plan.victim = ctx.compiled.victim;
-  plan.crash_round = ctx.compiled.crash_round;
-  plan.recover_round = ctx.compiled.recover_round;
-  plan.checkpoint_interval = s.checkpoint_every;
-  recovery::RecoveryCoordinator coord(ctx.bed, factory, plan);
-  coord.install();                 // takes the primary round hook…
-  ctx.install_fault_hook(s.n);     // …and the fault driver chains after it
+  scenario::Recovery scenario(ctx.bed, ctx.compiled.victim,
+                              ctx.compiled.crash_round,
+                              ctx.compiled.recover_round, s.checkpoint_every,
+                              ctx.strategy_factory());
+  const recovery::RecoveryCoordinator& coord = scenario.coordinator();
+  ctx.install_fault_hook(s.n);
   ctx.start();
 
-  const std::vector<NodeId> honest = honest_set(s);
-  auto converged = [&]() {
-    if (recovers && !coord.rejoin_complete()) return false;
-    for (NodeId id : honest) {
-      if (!ctx.bed.has_enclave(id)) return false;
-      auto& node = ctx.bed.enclave_as<recovery::RecoverableNode>(id);
-      const auto& roster = node.roster();
-      if (!node.is_member() ||
-          std::find(roster.begin(), roster.end(), extra) == roster.end()) {
-        return false;
-      }
-    }
-    return true;
-  };
+  const std::vector<NodeId> honest = s.honest_nodes();
   RunReport report;
-  report.rounds = ctx.bed.run_rounds(s.max_rounds, converged);
+  report.rounds = ctx.bed.run_rounds(
+      s.max_rounds, [&]() { return scenario.converged(honest); });
 
   std::ostringstream outcome;
   for (NodeId id = 0; id < s.n; ++id) {
@@ -441,7 +274,7 @@ RunReport run_recovery(const Schedule& s, obs::MetricsRegistry& registry) {
           << " fallback=" << (coord.used_fresh_fallback() ? 1 : 0);
   report.outcome = outcome.str();
 
-  if (!converged()) {
+  if (!scenario.converged(honest)) {
     report.violations.push_back(
         {oracle::kRecoveryLiveness,
          "honest roster did not converge (rejoin/fresh join incomplete) "
@@ -490,7 +323,7 @@ RunReport run_shard(const Schedule& s, obs::MetricsRegistry& registry) {
   ctx.install_fault_hook(s.n);
   ctx.start();
 
-  const std::vector<NodeId> honest = honest_set(s);
+  const std::vector<NodeId> honest = s.honest_nodes();
   shard::ShardConfig cfg;
   cfg.committee_size = s.committee_size;
   cfg.epochs = 2;  // two chained epochs exercise the beacon handoff
@@ -567,27 +400,9 @@ RunReport run_schedule(const Schedule& schedule, const RunOptions& options) {
   RunReport report;
   switch (schedule.target) {
     case FuzzTarget::kErb:
-      report = run_erb(schedule, options, registry);
-      break;
     case FuzzTarget::kErngBasic:
-      report = run_erng<protocol::ErngBasicNode>(
-          schedule, registry,
-          [](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-             protocol::PeerConfig pc, const sgx::SimIAS& ias)
-              -> std::unique_ptr<protocol::PeerEnclave> {
-            return std::make_unique<protocol::ErngBasicNode>(platform, id,
-                                                             host, pc, ias);
-          });
-      break;
     case FuzzTarget::kErngOpt:
-      report = run_erng<protocol::ErngOptNode>(
-          schedule, registry,
-          [](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-             protocol::PeerConfig pc, const sgx::SimIAS& ias)
-              -> std::unique_ptr<protocol::PeerEnclave> {
-            return std::make_unique<protocol::ErngOptNode>(platform, id, host,
-                                                           pc, ias);
-          });
+      report = run_stack(schedule, options, registry);
       break;
     case FuzzTarget::kRecovery:
       report = run_recovery(schedule, registry);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "scenario/scenario.hpp"
 #include "shard/election.hpp"
 
 namespace sgxp2p::fuzz {
@@ -89,26 +90,15 @@ std::vector<NodeId> Schedule::faulted_nodes() const {
   return out;
 }
 
-RecoveryWindows recovery_windows(const Schedule& s) {
-  RecoveryWindows w;
-  w.W = s.t + 2;
-  for (const FaultAction& a : s.actions) {
-    if (a.kind == ActionKind::kCrash) {
-      w.has_crash = true;
-      w.victim = a.node;
-      w.crash_round = a.round;
-    } else if (a.kind == ActionKind::kRecover) {
-      w.recovers = true;
-      w.recover_round = a.round;
+std::vector<NodeId> Schedule::honest_nodes() const {
+  const std::vector<NodeId> faulted = faulted_nodes();
+  std::vector<NodeId> honest;
+  for (NodeId id = 0; id < n; ++id) {
+    if (!std::binary_search(faulted.begin(), faulted.end(), id)) {
+      honest.push_back(id);
     }
   }
-  if (w.recovers) {
-    w.w_rejoin = (w.recover_round - 1 + w.W - 1) / w.W;
-    w.w_extra = w.w_rejoin + 2;
-  } else {
-    w.w_extra = w.has_crash ? w.crash_round / w.W + 1 : 1;
-  }
-  return w;
+  return honest;
 }
 
 std::uint32_t Schedule::min_rounds() const {
@@ -126,7 +116,14 @@ std::uint32_t Schedule::min_rounds() const {
     case FuzzTarget::kRecovery: {
       // The fresh join's window closes (and its WELCOME goes out) in the
       // first round of the next window; +1 slack for the delivery.
-      const RecoveryWindows w = recovery_windows(*this);
+      std::uint32_t crash_round = 0;
+      std::uint32_t recover_round = 0;
+      for (const FaultAction& a : actions) {
+        if (a.kind == ActionKind::kCrash) crash_round = a.round;
+        if (a.kind == ActionKind::kRecover) recover_round = a.round;
+      }
+      const scenario::RecoveryWindows w =
+          scenario::recovery_windows(t, crash_round, recover_round);
       return (static_cast<std::uint32_t>(w.w_extra) + 1) * w.W + 2;
     }
     case FuzzTarget::kShard: {

@@ -96,6 +96,8 @@ struct Schedule {
   /// crash victim and a stale-seal host are still expected to converge —
   /// that is exactly what the recovery oracles assert.)
   [[nodiscard]] std::vector<NodeId> faulted_nodes() const;
+  /// The other nodes, ascending: those the honest-node oracles judge.
+  [[nodiscard]] std::vector<NodeId> honest_nodes() const;
 
   /// Structural soundness: fields in range, every action's node < n, the
   /// faulted set within the byzantine budget t. Runner and corpus loading
@@ -118,23 +120,5 @@ struct Schedule {
   [[nodiscard]] static std::optional<Schedule> load_file(
       const std::string& path, std::string* error);
 };
-
-/// Window geometry the recovery runner derives from a schedule: W = t + 2
-/// membership rounds per window, the rejoin windows for a recovering victim,
-/// and the window carrying the fresh join. Shared between the runner's join
-/// plan and Schedule::min_rounds so the round floor cannot drift from what
-/// the run actually schedules.
-struct RecoveryWindows {
-  std::uint32_t W = 0;
-  std::size_t w_rejoin = 0;  // first rejoin window; meaningful iff recovers
-  std::size_t w_extra = 0;   // window of the fresh join
-  bool has_crash = false;
-  bool recovers = false;
-  NodeId victim = kNoNode;
-  std::uint32_t crash_round = 0;
-  std::uint32_t recover_round = 0;
-};
-
-[[nodiscard]] RecoveryWindows recovery_windows(const Schedule& s);
 
 }  // namespace sgxp2p::fuzz

@@ -1,6 +1,5 @@
 #include "fuzz/tcp_runner.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -10,33 +9,11 @@
 #include "fuzz/tcp_shim.hpp"
 #include "net/tcp_testbed.hpp"
 #include "obs/metrics.hpp"
-#include "protocol/erb_node.hpp"
-#include "protocol/erng_basic.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p::fuzz {
 
 namespace {
-
-constexpr const char* kErbPayload = "fuzz erb payload";
-
-std::vector<NodeId> honest_set(const Schedule& s) {
-  std::vector<NodeId> faulted = s.faulted_nodes();
-  std::vector<NodeId> honest;
-  for (NodeId id = 0; id < s.n; ++id) {
-    if (!std::binary_search(faulted.begin(), faulted.end(), id)) {
-      honest.push_back(id);
-    }
-  }
-  return honest;
-}
-
-std::string hex8(const Bytes& b) {
-  return hex_encode(ByteView(b.data(), std::min<std::size_t>(8, b.size())));
-}
-
-bool is_honest(const std::vector<NodeId>& honest, NodeId id) {
-  return std::find(honest.begin(), honest.end(), id) != honest.end();
-}
 
 /// Wall-clock metric values are timing-dependent, so the TCP digest covers
 /// only the honest outcome string — the quantity the paper's theorems pin.
@@ -59,140 +36,32 @@ void finalize_tcp(const obs::MetricsRegistry& registry, RunReport& report) {
                report.outcome.size())));
 }
 
-RunReport run_tcp_erb(const Schedule& s, net::TcpTestbed& bed,
-                      const obs::MetricsRegistry& registry) {
+RunReport run_tcp_stack(const Schedule& s, net::TcpTestbed& bed,
+                        const obs::MetricsRegistry& registry) {
+  const bool erb = s.target == FuzzTarget::kErb;
   const Bytes payload = to_bytes(kErbPayload);
-  const NodeId initiator = 0;
-  CHECK_MSG(
-      bed.build([&payload, initiator](
-                    NodeId id, sgx::SgxPlatform& platform,
-                    sgx::EnclaveHostIface& host, protocol::PeerConfig pc,
-                    const sgx::SimIAS& ias)
-                    -> std::unique_ptr<protocol::PeerEnclave> {
-        return std::make_unique<protocol::ErbNode>(
-            platform, id, host, pc, ias, initiator,
-            id == initiator ? payload : Bytes{});
-      }),
-      "run_tcp_schedule: socket mesh failed");
+  CHECK_MSG(bed.build(erb ? scenario::erb_factory(0, payload)
+                          : scenario::erng_basic_factory()),
+            "run_tcp_schedule: socket mesh failed");
   bed.start();
 
-  const std::vector<NodeId> honest = honest_set(s);
+  const std::vector<NodeId> honest = s.honest_nodes();
   RunReport report;
-  report.rounds = bed.run_rounds(s.max_rounds, [&]() {
-    for (NodeId id : honest) {
-      if (!bed.enclave_as<protocol::ErbNode>(id).result().decided) {
-        return false;
-      }
-    }
-    return true;
-  });
-
+  report.rounds =
+      bed.run_rounds(s.max_rounds, scenario::honest_done(bed, honest));
+  const scenario::Report run = scenario::collect(bed, report.rounds, honest);
   std::ostringstream outcome;
-  const bool initiator_honest = is_honest(honest, initiator);
-  bed.locked([&] {
-    bool have_ref = false;
-    std::optional<Bytes> ref;
-    for (NodeId id = 0; id < s.n; ++id) {
-      if (!is_honest(honest, id)) {
-        // Faulted nodes' states are timing-dependent over real sockets;
-        // they carry no oracle weight and stay out of the digest input.
-        outcome << id << ":faulted ";
-        continue;
-      }
-      const auto& r = bed.enclave_as<protocol::ErbNode>(id).result();
-      outcome << id
-              << (r.decided ? (r.value ? ":m=" + hex8(*r.value) : ":bot")
-                            : ":undecided")
-              << " ";
-      if (!r.decided) {
-        report.violations.push_back(
-            {oracle::kErbTermination,
-             "honest node " + std::to_string(id) + " undecided after " +
-                 std::to_string(report.rounds) + " rounds"});
-        continue;
-      }
-      if (!have_ref) {
-        ref = r.value;
-        have_ref = true;
-      } else if (r.value != ref) {
-        report.violations.push_back(
-            {oracle::kErbAgreement,
-             "honest node " + std::to_string(id) +
-                 " disagrees with the first honest decision"});
-      }
-      if (initiator_honest && (!r.value || *r.value != payload)) {
-        report.violations.push_back(
-            {oracle::kErbValidity, "initiator honest but node " +
-                                       std::to_string(id) +
-                                       " did not decide m"});
-      }
-    }
-  });
+  for (NodeId id = 0; id < s.n; ++id) {
+    // Faulted nodes' states are timing-dependent over real sockets; they
+    // carry no oracle weight and stay out of the digest input.
+    outcome << id
+            << (run.nodes[id].honest ? node_outcome(run.nodes[id], erb)
+                                     : ":faulted")
+            << " ";
+  }
   report.outcome = outcome.str();
-  finalize_tcp(registry, report);
-  return report;
-}
-
-RunReport run_tcp_erng(const Schedule& s, net::TcpTestbed& bed,
-                       const obs::MetricsRegistry& registry) {
-  CHECK_MSG(
-      bed.build([](NodeId id, sgx::SgxPlatform& platform,
-                   sgx::EnclaveHostIface& host, protocol::PeerConfig pc,
-                   const sgx::SimIAS& ias)
-                    -> std::unique_ptr<protocol::PeerEnclave> {
-        return std::make_unique<protocol::ErngBasicNode>(platform, id, host,
-                                                         pc, ias);
-      }),
-      "run_tcp_schedule: socket mesh failed");
-  bed.start();
-
-  const std::vector<NodeId> honest = honest_set(s);
-  RunReport report;
-  report.rounds = bed.run_rounds(s.max_rounds, [&]() {
-    for (NodeId id : honest) {
-      if (!bed.enclave_as<protocol::ErngBasicNode>(id).result().done) {
-        return false;
-      }
-    }
-    return true;
-  });
-
-  std::ostringstream outcome;
-  bed.locked([&] {
-    bool have_ref = false;
-    bool ref_bottom = false;
-    Bytes ref_value;
-    for (NodeId id = 0; id < s.n; ++id) {
-      if (!is_honest(honest, id)) {
-        outcome << id << ":faulted ";
-        continue;
-      }
-      const auto& r = bed.enclave_as<protocol::ErngBasicNode>(id).result();
-      outcome << id
-              << (r.done ? (r.is_bottom ? ":bot" : ":r=" + hex8(r.value))
-                         : ":pending")
-              << " ";
-      if (!r.done) {
-        report.violations.push_back(
-            {oracle::kErngTermination,
-             "honest node " + std::to_string(id) + " has no output after " +
-                 std::to_string(report.rounds) + " rounds"});
-        continue;
-      }
-      if (!have_ref) {
-        ref_bottom = r.is_bottom;
-        ref_value = r.value;
-        have_ref = true;
-      } else if (r.is_bottom != ref_bottom ||
-                 (!r.is_bottom && r.value != ref_value)) {
-        report.violations.push_back(
-            {oracle::kErngAgreement,
-             "honest node " + std::to_string(id) +
-                 " output differs from the first honest output"});
-      }
-    }
-  });
-  report.outcome = outcome.str();
+  report.violations =
+      erb ? judge_erb(run, 0, payload, /*canary=*/false) : judge_erng(run);
   finalize_tcp(registry, report);
   return report;
 }
@@ -239,9 +108,7 @@ RunReport run_tcp_schedule(const Schedule& schedule,
   TcpFaultShim shim(bed, schedule);
   shim.install();
 
-  RunReport report = schedule.target == FuzzTarget::kErb
-                         ? run_tcp_erb(schedule, bed, registry)
-                         : run_tcp_erng(schedule, bed, registry);
+  RunReport report = run_tcp_stack(schedule, bed, registry);
   const TcpFaultShim::Stats st = shim.stats();
   LOG_DEBUG("tcp fuzz: dropped=", st.dropped, " delayed=", st.delayed,
             " duplicated=", st.duplicated, " corrupted=", st.corrupted,

@@ -91,6 +91,10 @@ class TcpTestbed {
   /// per connection and counted by the bus.
   SendStatus bus_send_raw(NodeId from, NodeId to, Bytes blob);
 
+  /// False after crash_node(id) until the node is recovered.
+  [[nodiscard]] bool has_enclave(NodeId id) const {
+    return enclaves_.at(id) != nullptr;
+  }
   [[nodiscard]] protocol::PeerEnclave& enclave(NodeId id) {
     return *enclaves_.at(id);
   }

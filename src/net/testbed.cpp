@@ -153,7 +153,7 @@ std::uint32_t Testbed::run_rounds(std::uint32_t max_rounds,
     simulator_.run_until(boundary);
     // Crash/recovery injection runs first so a node killed "at round R"
     // never observes R's tick and a node relaunched at R ticks immediately.
-    if (round_hook_) round_hook_(rounds_run_ + r);
+    for (const auto& hook : round_hooks_) hook(rounds_run_ + r);
     // Trusted timers fire: every live enclave observes the new round. Each
     // tick is its own ECALL: clear the transition-charge accumulator so one
     // node's tick cost never delays a different node's sends.

@@ -82,26 +82,12 @@ class Testbed {
 
   // ----- crash / recovery injection (src/recovery/) -----
 
-  /// Hook fired at every round boundary BEFORE the enclaves tick, with the
-  /// round number about to begin. The RecoveryCoordinator uses it to drive
-  /// checkpoints, crashes, and relaunches in lockstep with the protocol.
-  void set_round_hook(std::function<void(std::uint32_t)> hook) {
-    round_hook_ = std::move(hook);
-  }
-
-  /// Chains `hook` after any hook already installed (both run, in
-  /// installation order). The fuzz runner composes its partition/crash
-  /// driver with the RecoveryCoordinator's hook through this.
+  /// Adds a hook fired at every round boundary BEFORE the enclaves tick,
+  /// with the round number about to begin. Hooks run in installation order.
+  /// The RecoveryCoordinator drives checkpoints, crashes and relaunches from
+  /// one; the fuzz runner's partition/crash driver follows it.
   void add_round_hook(std::function<void(std::uint32_t)> hook) {
-    if (!round_hook_) {
-      round_hook_ = std::move(hook);
-      return;
-    }
-    round_hook_ = [prev = std::move(round_hook_),
-                   next = std::move(hook)](std::uint32_t round) {
-      prev(round);
-      next(round);
-    };
+    round_hooks_.push_back(std::move(hook));
   }
 
   /// Crash injection: destroys node `id`'s enclave (all in-enclave state is
@@ -164,7 +150,7 @@ class Testbed {
   std::vector<std::unique_ptr<protocol::PeerEnclave>> enclaves_;
   SimTime t0_ = 0;
   std::uint32_t rounds_run_ = 0;
-  std::function<void(std::uint32_t)> round_hook_;
+  std::vector<std::function<void(std::uint32_t)>> round_hooks_;
 };
 
 }  // namespace sgxp2p::sim

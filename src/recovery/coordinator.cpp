@@ -28,7 +28,7 @@ void RecoveryCoordinator::install() {
           *node, stores_[id], plan_.checkpoint_interval);
     }
   }
-  bed_->set_round_hook([this](std::uint32_t round) { on_round(round); });
+  bed_->add_round_hook([this](std::uint32_t round) { on_round(round); });
 }
 
 void RecoveryCoordinator::on_round(std::uint32_t round) {

@@ -5,24 +5,23 @@
 
 #include "crypto/sha256.hpp"
 #include "protocol/rb_sig.hpp"
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
 
 using protocol::ErbNode;
 using protocol::ErngBasicNode;
-using testutil::all_honest_done;
-using testutil::all_honest_erb_decided;
-using testutil::erb_factory;
-using testutil::erng_basic_factory;
-using testutil::small_config;
+using scenario::erb_factory;
+using scenario::erng_basic_factory;
+using scenario::honest_done;
+using scenario::sim_config;
 
 TEST(AdversaryMix, KitchenSinkAgainstErb) {
   // Simultaneously: a corrupting host, a replaying host, a delaying host,
   // and a crashed host — t = 4 of 9 slots, all hostile, honest initiator.
   const std::uint32_t n = 9;
-  auto cfg = small_config(n, 999);
+  auto cfg = sim_config(n, 999);
   sim::Testbed bed(cfg);
   SimDuration round = cfg.effective_round();
   Bytes msg = to_bytes("through the storm");
@@ -42,7 +41,8 @@ TEST(AdversaryMix, KitchenSinkAgainstErb) {
               }
             });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   for (NodeId id : bed.honest_nodes()) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided) << "node " << id;
@@ -60,7 +60,7 @@ class InboundEclipseStrategy final : public adversary::Strategy {
 
 TEST(AdversaryMix, InboundEclipseOnlyHurtsItself) {
   const std::uint32_t n = 7;
-  sim::Testbed bed(small_config(n, 333));
+  sim::Testbed bed(sim_config(n, 333));
   Bytes msg = to_bytes("m");
   bed.build(erb_factory(0, msg),
             [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
@@ -68,7 +68,8 @@ TEST(AdversaryMix, InboundEclipseOnlyHurtsItself) {
               return nullptr;
             });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   // Honest nodes all accept m; the eclipsed enclave never hears anything and
   // times out to ⊥ — its loss alone.
   for (NodeId id = 0; id < 6; ++id) {
@@ -83,7 +84,7 @@ TEST(AdversaryMix, FullTByzantineLoadStillAgrees) {
   // honest initiator: validity must hold — the N−t honest echoes alone meet
   // the acceptance threshold.
   const std::uint32_t n = 11;  // t = 5
-  sim::Testbed bed(small_config(n, 555));
+  sim::Testbed bed(sim_config(n, 555));
   Bytes msg = to_bytes("exactly t");
   bed.build(erb_factory(0, msg),
             [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
@@ -94,7 +95,8 @@ TEST(AdversaryMix, FullTByzantineLoadStillAgrees) {
               return nullptr;
             });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   for (NodeId id : bed.honest_nodes()) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);
@@ -105,7 +107,7 @@ TEST(AdversaryMix, FullTByzantineLoadStillAgrees) {
 
 TEST(AdversaryMix, ErngSurvivesMixedAdversaries) {
   const std::uint32_t n = 9;
-  auto cfg = small_config(n, 777);
+  auto cfg = sim_config(n, 777);
   sim::Testbed bed(cfg);
   SimDuration round = cfg.effective_round();
   bed.build(erng_basic_factory(),
@@ -120,8 +122,8 @@ TEST(AdversaryMix, ErngSurvivesMixedAdversaries) {
               return nullptr;
             });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 all_honest_done<ErngBasicNode>(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   const auto& r0 = bed.enclave_as<ErngBasicNode>(0).result();
   ASSERT_TRUE(r0.done);
   EXPECT_FALSE(r0.is_bottom);

@@ -16,7 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sgx/transition.hpp"
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
@@ -36,14 +36,14 @@ TracedRun run_erb_traced(std::uint64_t seed, sgx::TransitionCosts costs = {}) {
   TraceRecorder& tr = TraceRecorder::global();
   tr.enable();
   tr.reset();
-  auto cfg = testutil::small_config(8, seed);
+  auto cfg = scenario::sim_config(8, seed);
   cfg.net.seed = seed;
   cfg.sgx_costs = costs;
   sim::Testbed bed(cfg);
-  bed.build(testutil::erb_factory(0, to_bytes("causal payload")));
+  bed.build(scenario::erb_factory(0, to_bytes("causal payload")));
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 testutil::all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 scenario::honest_done(bed));
   TracedRun out;
   out.jsonl = tr.to_jsonl();
   out.snapshot = MetricsRegistry::global().snapshot();
@@ -57,14 +57,13 @@ TracedRun run_erng_opt_traced(std::uint64_t seed) {
   TraceRecorder& tr = TraceRecorder::global();
   tr.enable();
   tr.reset();
-  auto cfg = testutil::small_config(8, seed);
+  auto cfg = scenario::sim_config(8, seed);
   cfg.net.seed = seed;
   cfg.t = 2;
   sim::Testbed bed(cfg);
-  bed.build(testutil::erng_opt_factory());
+  bed.build(scenario::erng_opt_factory());
   bed.start();
-  bed.run_rounds(cfg.n + 8,
-                 testutil::all_honest_done<protocol::ErngOptNode>(bed));
+  bed.run_rounds(scenario::n_budget(cfg.n), scenario::honest_done(bed));
   TracedRun out;
   out.jsonl = tr.to_jsonl();
   out.snapshot = MetricsRegistry::global().snapshot();

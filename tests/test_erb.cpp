@@ -6,25 +6,25 @@
 
 #include <algorithm>
 
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
 
 using protocol::ErbNode;
-using testutil::all_honest_erb_decided;
-using testutil::erb_factory;
-using testutil::small_config;
+using scenario::erb_factory;
+using scenario::honest_done;
+using scenario::sim_config;
 
 Bytes msg() { return to_bytes("the broadcast message"); }
 
 // --- Honest network ---
 
 TEST(Erb, HonestValidityAllAcceptInTwoRounds) {
-  sim::Testbed bed(small_config(7));
+  sim::Testbed bed(sim_config(7));
   bed.build(erb_factory(0, msg()));
   bed.start();
-  bed.run_rounds(10, all_honest_erb_decided(bed));
+  bed.run_rounds(10, honest_done(bed));
   for (NodeId id = 0; id < 7; ++id) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided) << "node " << id;
@@ -35,10 +35,10 @@ TEST(Erb, HonestValidityAllAcceptInTwoRounds) {
 }
 
 TEST(Erb, HonestNonInitiatorViewsAgree) {
-  sim::Testbed bed(small_config(5, 99));
+  sim::Testbed bed(sim_config(5, 99));
   bed.build(erb_factory(2, msg()));
   bed.start();
-  bed.run_rounds(10, all_honest_erb_decided(bed));
+  bed.run_rounds(10, honest_done(bed));
   for (NodeId id = 0; id < 5; ++id) {
     EXPECT_EQ(*bed.enclave_as<ErbNode>(id).result().value, msg());
   }
@@ -48,11 +48,11 @@ class ErbHonestSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ErbHonestSweep, AllSizesTerminateWithAgreement) {
   const std::uint32_t n = GetParam();
-  sim::Testbed bed(small_config(n, 7 * n));
+  sim::Testbed bed(sim_config(n, 7 * n));
   bed.build(erb_factory(0, msg()));
   bed.start();
   std::uint32_t rounds =
-      bed.run_rounds(bed.config().effective_t() + 3, all_honest_erb_decided(bed));
+      bed.run_rounds(bed.config().effective_t() + 3, honest_done(bed));
   EXPECT_LE(rounds, 2u + 1);  // accept within 2 rounds + stop-check granularity
   for (NodeId id = 0; id < n; ++id) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
@@ -67,7 +67,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ErbHonestSweep,
 // --- Byzantine: crash initiator → all honest accept ⊥ at t+2 ---
 
 TEST(Erb, CrashedInitiatorYieldsBottomAtTimeout) {
-  auto cfg = small_config(7);
+  auto cfg = sim_config(7);
   sim::Testbed bed(cfg);
   bed.build(erb_factory(0, msg()), [](NodeId id) {
     return id == 0
@@ -76,7 +76,7 @@ TEST(Erb, CrashedInitiatorYieldsBottomAtTimeout) {
   });
   bed.start();
   const std::uint32_t t = bed.config().effective_t();
-  bed.run_rounds(t + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(t + 4, honest_done(bed));
   for (NodeId id = 1; id < 7; ++id) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided) << "node " << id;
@@ -91,7 +91,7 @@ TEST(Erb, SelectiveOmissionStillAgrees) {
   // Byzantine initiator sends INIT to only a minority subset; agreement must
   // still hold: either everyone accepts m or everyone accepts ⊥.
   const std::uint32_t n = 9;
-  auto cfg = small_config(n, 1234);
+  auto cfg = sim_config(n, 1234);
   sim::Testbed bed(cfg);
   std::set<NodeId> victims = {4, 5, 6, 7, 8};  // never receive from node 0
   bed.build(erb_factory(0, msg()), [&](NodeId id) {
@@ -100,7 +100,8 @@ TEST(Erb, SelectiveOmissionStillAgrees) {
                    : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
 
   std::optional<Bytes> first;
   bool first_set = false;
@@ -124,7 +125,7 @@ TEST(Erb, SelectiveOmissionStillAgrees) {
 TEST(Erb, OmitterBelowAckThresholdHaltsItself) {
   // Initiator reaches only 2 of 8 peers (< t = 4 ACKs) → P4 halts it.
   const std::uint32_t n = 9;
-  sim::Testbed bed(small_config(n, 77));
+  sim::Testbed bed(sim_config(n, 77));
   std::set<NodeId> victims = {3, 4, 5, 6, 7, 8};
   bed.build(erb_factory(0, msg()), [&](NodeId id) {
     return id == 0 ? std::make_unique<adversary::SelectiveOmissionStrategy>(
@@ -132,7 +133,8 @@ TEST(Erb, OmitterBelowAckThresholdHaltsItself) {
                    : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
 
   EXPECT_TRUE(bed.enclave(0).halted());
   EXPECT_FALSE(bed.network().attached(0));  // churned out of P
@@ -150,19 +152,12 @@ TEST(Erb, OmitterBelowAckThresholdHaltsItself) {
 
 TEST(Erb, ChainDelayTerminatesAtFPlusTwoAndEliminatesChain) {
   const std::uint32_t n = 13;  // t = 6
-  const std::uint32_t f = 4;
-  auto plan = std::make_shared<adversary::ChainPlan>();
-  for (NodeId id = 0; id < f; ++id) plan->order.push_back(id);
-  plan->release = adversary::ChainPlan::Release::kSingleHonest;
-  plan->honest_target = f;  // first honest node
-
-  sim::Testbed bed(small_config(n, 4242));
-  bed.build(erb_factory(0, msg()), [&](NodeId id) {
-    return id < f ? std::make_unique<adversary::ChainStrategy>(plan)
-                  : std::unique_ptr<adversary::Strategy>{};
-  });
+  const std::uint32_t f = 4;  // releases to node f, the first honest one
+  sim::Testbed bed(sim_config(n, 4242));
+  bed.build(erb_factory(0, msg()), scenario::chain(f));
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
 
   std::uint32_t max_round = 0;
   for (NodeId id = f; id < n; ++id) {
@@ -188,14 +183,14 @@ TEST(Erb, ChainWithNoReleaseYieldsBottomEverywhere) {
   for (NodeId id = 0; id < f; ++id) plan->order.push_back(id);
   plan->release = adversary::ChainPlan::Release::kNobody;
 
-  sim::Testbed bed(small_config(n, 5));
+  sim::Testbed bed(sim_config(n, 5));
   bed.build(erb_factory(0, msg()), [&](NodeId id) {
     return id < f ? std::make_unique<adversary::ChainStrategy>(plan)
                   : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
   const std::uint32_t t = bed.config().effective_t();
-  bed.run_rounds(t + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(t + 4, honest_done(bed));
   for (NodeId id = f; id < n; ++id) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);
@@ -210,14 +205,15 @@ TEST(Erb, CorruptingHostsAreAbsorbed) {
   // the protocol sees omissions at worst — validity must still hold since
   // the initiator is honest.
   const std::uint32_t n = 9;
-  sim::Testbed bed(small_config(n, 31337));
+  sim::Testbed bed(sim_config(n, 31337));
   bed.build(erb_factory(4, msg()), [&](NodeId id) {
     return (id == 1 || id == 2)
                ? std::make_unique<adversary::CorruptStrategy>(0.5, n)
                : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   for (NodeId id : bed.honest_nodes()) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);
@@ -228,14 +224,15 @@ TEST(Erb, CorruptingHostsAreAbsorbed) {
 
 TEST(Erb, ReplayingHostsAreRejected) {
   const std::uint32_t n = 7;
-  sim::Testbed bed(small_config(n, 8));
+  sim::Testbed bed(sim_config(n, 8));
   bed.build(erb_factory(0, msg()), [&](NodeId id) {
     return (id == 5 || id == 6)
                ? std::make_unique<adversary::ReplayStrategy>(milliseconds(50))
                : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   for (NodeId id : bed.honest_nodes()) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);
@@ -248,7 +245,7 @@ TEST(Erb, DelayedInitiatorIsExcludedByLockstep) {
   // arrives with a stale round tag and is dropped (P5) — honest nodes decide
   // ⊥, and no honest node is tricked into accepting late data.
   const std::uint32_t n = 7;
-  auto cfg = small_config(n, 21);
+  auto cfg = sim_config(n, 21);
   sim::Testbed bed(cfg);
   SimDuration two_rounds = 2 * bed.config().effective_round();
   bed.build(erb_factory(0, msg()), [&](NodeId id) {
@@ -257,7 +254,7 @@ TEST(Erb, DelayedInitiatorIsExcludedByLockstep) {
   });
   bed.start();
   const std::uint32_t t = bed.config().effective_t();
-  bed.run_rounds(t + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(t + 4, honest_done(bed));
   for (NodeId id = 1; id < n; ++id) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);
@@ -280,7 +277,7 @@ TEST(Erb, AccountedScribblerCannotTouchSharedBlobs) {
   // host that handles blobs itself must get a copy, or its writes would
   // reach every later recipient of the same buffer.
   const std::uint32_t n = 7;
-  auto cfg = small_config(n, 17);
+  auto cfg = sim_config(n, 17);
   cfg.mode = protocol::ChannelMode::kAccounted;
   sim::Testbed bed(cfg);
   bed.build(erb_factory(0, msg()), [](NodeId id) {
@@ -288,7 +285,8 @@ TEST(Erb, AccountedScribblerCannotTouchSharedBlobs) {
                    : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   ASSERT_EQ(bed.honest_nodes().size(), n - 1);
   for (NodeId id : bed.honest_nodes()) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
@@ -306,10 +304,10 @@ TEST(Erb, HonestTrafficIsQuadratic) {
   // strictly under 3·N² for every N; and the N=16→32 ratio is ≈4×.
   std::uint64_t msgs16 = 0, msgs32 = 0;
   for (std::uint32_t n : {16u, 32u}) {
-    sim::Testbed bed(small_config(n, n));
+    sim::Testbed bed(sim_config(n, n));
     bed.build(erb_factory(0, msg()));
     bed.start();
-    bed.run_rounds(6, all_honest_erb_decided(bed));
+    bed.run_rounds(6, honest_done(bed));
     std::uint64_t m = bed.network().meter().messages();
     EXPECT_LT(m, 3ull * n * n);
     (n == 16 ? msgs16 : msgs32) = m;
@@ -321,7 +319,7 @@ TEST(Erb, HonestTrafficIsQuadratic) {
 // --- Integrity: accepted exactly once, value immutable after decision ---
 
 TEST(Erb, DecisionIsStable) {
-  sim::Testbed bed(small_config(5, 3));
+  sim::Testbed bed(sim_config(5, 3));
   bed.build(erb_factory(0, msg()));
   bed.start();
   bed.run_rounds(3);

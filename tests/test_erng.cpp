@@ -6,27 +6,27 @@
 
 #include <map>
 
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
 
 using protocol::ErngBasicNode;
 using protocol::ErngOptNode;
-using testutil::all_honest_done;
-using testutil::erng_basic_factory;
-using testutil::erng_opt_factory;
-using testutil::small_config;
+using scenario::erng_basic_factory;
+using scenario::erng_opt_factory;
+using scenario::honest_done;
+using scenario::sim_config;
 
 // --- Basic ERNG ---
 
 TEST(ErngBasic, HonestAllAgreeOnFullSet) {
   const std::uint32_t n = 7;
-  sim::Testbed bed(small_config(n, 11));
+  sim::Testbed bed(sim_config(n, 11));
   bed.build(erng_basic_factory());
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 all_honest_done<ErngBasicNode>(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
 
   const auto& r0 = bed.enclave_as<ErngBasicNode>(0).result();
   ASSERT_TRUE(r0.done);
@@ -43,11 +43,11 @@ TEST(ErngBasic, HonestAllAgreeOnFullSet) {
 TEST(ErngBasic, HonestTerminatesEarlyIndependentOfT) {
   // The paper's Fig. 2b: honest-case termination is ~2 rounds, not t+2.
   const std::uint32_t n = 11;  // t = 5
-  sim::Testbed bed(small_config(n, 42));
+  sim::Testbed bed(sim_config(n, 42));
   bed.build(erng_basic_factory());
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 all_honest_done<ErngBasicNode>(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   for (NodeId id = 0; id < n; ++id) {
     EXPECT_LE(bed.enclave_as<ErngBasicNode>(id).result().round, 3u);
   }
@@ -55,11 +55,11 @@ TEST(ErngBasic, HonestTerminatesEarlyIndependentOfT) {
 
 TEST(ErngBasic, OutputIsXorOfContributions) {
   const std::uint32_t n = 5;
-  sim::Testbed bed(small_config(n, 17));
+  sim::Testbed bed(sim_config(n, 17));
   bed.build(erng_basic_factory());
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 all_honest_done<ErngBasicNode>(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   Bytes expected(32, 0);
   for (NodeId id = 0; id < n; ++id) {
     xor_into(expected, bed.enclave_as<ErngBasicNode>(id).own_contribution());
@@ -69,14 +69,14 @@ TEST(ErngBasic, OutputIsXorOfContributions) {
 
 TEST(ErngBasic, CrashNodesExcludedButAgreementHolds) {
   const std::uint32_t n = 9;  // t = 4
-  sim::Testbed bed(small_config(n, 5));
+  sim::Testbed bed(sim_config(n, 5));
   bed.build(erng_basic_factory(), [](NodeId id) {
     return id >= 7 ? std::make_unique<adversary::CrashStrategy>()
                    : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 all_honest_done<ErngBasicNode>(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   const auto& r0 = bed.enclave_as<ErngBasicNode>(0).result();
   ASSERT_TRUE(r0.done);
   EXPECT_EQ(r0.set_size, 7u);  // crashed initiators contribute ⊥
@@ -92,7 +92,7 @@ TEST(ErngBasic, LateStartContributionIsNeglected) {
   // choose participation after seeing others. P5 rejects the stale rounds;
   // the honest nodes agree and the delayed node's value is excluded.
   const std::uint32_t n = 7;
-  auto cfg = small_config(n, 23);
+  auto cfg = sim_config(n, 23);
   sim::Testbed bed(cfg);
   SimDuration two_rounds = 2 * bed.config().effective_round();
   bed.build(erng_basic_factory(), [&](NodeId id) {
@@ -100,8 +100,8 @@ TEST(ErngBasic, LateStartContributionIsNeglected) {
                    : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 all_honest_done<ErngBasicNode>(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   const auto& r0 = bed.enclave_as<ErngBasicNode>(0).result();
   ASSERT_TRUE(r0.done);
   EXPECT_EQ(r0.set_size, n - 1);  // node 6's instance decided ⊥ everywhere
@@ -115,15 +115,15 @@ TEST(ErngBasic, CiphertextSelectiveOmissionCannotSplitOrBias) {
   // bytes. It cannot target values (P3); agreement must survive since drops
   // are content-independent omissions.
   const std::uint32_t n = 9;
-  sim::Testbed bed(small_config(n, 1001));
+  sim::Testbed bed(sim_config(n, 1001));
   bed.build(erng_basic_factory(), [&](NodeId id) {
     return id < 2
                ? std::make_unique<adversary::CiphertextSelectiveStrategy>(64)
                : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 all_honest_done<ErngBasicNode>(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   const auto& r2 = bed.enclave_as<ErngBasicNode>(2).result();
   ASSERT_TRUE(r2.done);
   for (NodeId id = 3; id < n; ++id) {
@@ -137,11 +137,11 @@ class ErngBasicSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ErngBasicSeeds, AgreementAcrossSeeds) {
   const std::uint32_t n = 6;
-  sim::Testbed bed(small_config(n, GetParam()));
+  sim::Testbed bed(sim_config(n, GetParam()));
   bed.build(erng_basic_factory());
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 all_honest_done<ErngBasicNode>(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 honest_done(bed));
   const auto& r0 = bed.enclave_as<ErngBasicNode>(0).result();
   for (NodeId id = 1; id < n; ++id) {
     EXPECT_EQ(bed.enclave_as<ErngBasicNode>(id).result().value, r0.value);
@@ -159,15 +159,15 @@ TEST(ErngBasic, OutputBitBalanceUnderAdversary) {
   const int kTrials = 40;
   for (int trial = 0; trial < kTrials; ++trial) {
     const std::uint32_t n = 5;
-    sim::Testbed bed(small_config(n, 9000 + trial));
+    sim::Testbed bed(sim_config(n, 9000 + trial));
     bed.build(erng_basic_factory(), [&](NodeId id) {
       return id == 4 ? std::make_unique<adversary::RandomOmissionStrategy>(
                            0.5, 0.0)
                      : std::unique_ptr<adversary::Strategy>{};
     });
     bed.start();
-    bed.run_rounds(bed.config().effective_t() + 4,
-                   all_honest_done<ErngBasicNode>(bed));
+    bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                   honest_done(bed));
     const auto& r = bed.enclave_as<ErngBasicNode>(0).result();
     ASSERT_TRUE(r.done);
     ASSERT_FALSE(r.is_bottom);
@@ -182,12 +182,12 @@ TEST(ErngBasic, OutputBitBalanceUnderAdversary) {
 
 TEST(ErngOpt, SmallNetworkFallbackAgrees) {
   const std::uint32_t n = 12;
-  auto cfg = small_config(n, 3);
+  auto cfg = sim_config(n, 3);
   cfg.t = 4;  // t ≤ N/3 required by the optimized variant
   sim::Testbed bed(cfg);
   bed.build(erng_opt_factory());
   bed.start();
-  bed.run_rounds(40, all_honest_done<ErngOptNode>(bed));
+  bed.run_rounds(40, honest_done(bed));
 
   const auto& r0 = bed.enclave_as<ErngOptNode>(0).result();
   ASSERT_TRUE(r0.done);
@@ -204,14 +204,14 @@ TEST(ErngOpt, SmallNetworkFallbackAgrees) {
 
 TEST(ErngOpt, LargeNetworkSampledClusterAgrees) {
   const std::uint32_t n = 80;
-  auto cfg = small_config(n, 7);
+  auto cfg = sim_config(n, 7);
   cfg.t = 26;  // ≈ N/3
   protocol::ErngOptParams params;
   params.gamma = 5;  // N/(2γ) = 8 → E[cluster] = 10
   sim::Testbed bed(cfg);
   bed.build(erng_opt_factory(params));
   bed.start();
-  bed.run_rounds(40, all_honest_done<ErngOptNode>(bed));
+  bed.run_rounds(40, honest_done(bed));
 
   const auto& r0 = bed.enclave_as<ErngOptNode>(0).result();
   ASSERT_TRUE(r0.done);
@@ -235,14 +235,14 @@ TEST(ErngOpt, ClusterSizeConcentrates) {
   protocol::ErngOptParams params;
   params.gamma = 8;  // E[cluster] = 16
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    auto cfg = small_config(n, seed);
+    auto cfg = sim_config(n, seed);
     cfg.t = 42;
     // Honest-only statistical sweep: accounted links keep it fast.
     cfg.mode = protocol::ChannelMode::kAccounted;
     sim::Testbed bed(cfg);
     bed.build(erng_opt_factory(params));
     bed.start();
-    bed.run_rounds(40, all_honest_done<ErngOptNode>(bed));
+    bed.run_rounds(40, honest_done(bed));
     std::size_t cluster = bed.enclave_as<ErngOptNode>(0).result().cluster_size;
     EXPECT_GE(cluster, 4u) << "seed " << seed;
     EXPECT_LE(cluster, 40u) << "seed " << seed;
@@ -253,7 +253,7 @@ TEST(ErngOpt, ByzantineClusterMinorityCannotBreakAgreement) {
   // Byzantine nodes inside the fallback cluster crash mid-protocol; honest
   // majority of the cluster still produces ≥ threshold identical FINAL sets.
   const std::uint32_t n = 12;
-  auto cfg = small_config(n, 13);
+  auto cfg = sim_config(n, 13);
   cfg.t = 3;
   sim::Testbed bed(cfg);
   bed.build(erng_opt_factory(), [](NodeId id) {
@@ -262,7 +262,7 @@ TEST(ErngOpt, ByzantineClusterMinorityCannotBreakAgreement) {
                : std::unique_ptr<adversary::Strategy>{};
   });
   bed.start();
-  bed.run_rounds(40, all_honest_done<ErngOptNode>(bed));
+  bed.run_rounds(40, honest_done(bed));
   std::map<Bytes, int> outputs;
   for (NodeId id : bed.honest_nodes()) {
     const auto& r = bed.enclave_as<ErngOptNode>(id).result();
@@ -276,14 +276,14 @@ TEST(ErngOpt, RoundComplexityIsClusterBound) {
   // Total rounds ≈ t_c + 4 where t_c = ⌊(cluster−1)/2⌋ — much less than the
   // network-wide t+2 of the basic variant for large N.
   const std::uint32_t n = 96;
-  auto cfg = small_config(n, 55);
+  auto cfg = sim_config(n, 55);
   cfg.t = 31;
   protocol::ErngOptParams params;
   params.gamma = 6;
   sim::Testbed bed(cfg);
   bed.build(erng_opt_factory(params));
   bed.start();
-  bed.run_rounds(40, all_honest_done<ErngOptNode>(bed));
+  bed.run_rounds(40, honest_done(bed));
   const auto& r0 = bed.enclave_as<ErngOptNode>(0).result();
   ASSERT_TRUE(r0.done);
   std::uint32_t t_c = (static_cast<std::uint32_t>(r0.cluster_size) - 1) / 2;

@@ -3,32 +3,32 @@
 // the PeerEnclave runtime surface both ERNG variants share.
 #include <gtest/gtest.h>
 
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
 
 using protocol::ErngBasicNode;
 using protocol::ErngOptNode;
-using testutil::all_honest_done;
-using testutil::erng_basic_factory;
-using testutil::erng_opt_factory;
-using testutil::small_config;
+using scenario::erng_basic_factory;
+using scenario::erng_opt_factory;
+using scenario::honest_done;
+using scenario::sim_config;
 
 TEST(ErngOptTraffic, SampledModeBeatsBasicByOrdersOfMagnitude) {
   const std::uint32_t n = 96;
   // Basic: O(N³) messages.
-  auto basic_cfg = small_config(n, 31);
+  auto basic_cfg = sim_config(n, 31);
   basic_cfg.mode = protocol::ChannelMode::kAccounted;
   sim::Testbed basic(basic_cfg);
   basic.build(erng_basic_factory());
   basic.start();
-  basic.run_rounds(basic.config().effective_t() + 4,
-                   all_honest_done<ErngBasicNode>(basic));
+  basic.run_rounds(scenario::t_budget(basic.config().effective_t()),
+                   honest_done(basic));
   std::uint64_t basic_msgs = basic.network().meter().messages();
 
   // Optimized, sampled two-phase cluster.
-  auto opt_cfg = small_config(n, 31);
+  auto opt_cfg = sim_config(n, 31);
   opt_cfg.t = n / 3;
   opt_cfg.mode = protocol::ChannelMode::kAccounted;
   protocol::ErngOptParams params;
@@ -36,7 +36,7 @@ TEST(ErngOptTraffic, SampledModeBeatsBasicByOrdersOfMagnitude) {
   sim::Testbed opt(opt_cfg);
   opt.build(erng_opt_factory(params));
   opt.start();
-  opt.run_rounds(n, all_honest_done<ErngOptNode>(opt));
+  opt.run_rounds(n, honest_done(opt));
   std::uint64_t opt_msgs = opt.network().meter().messages();
 
   const auto& r = opt.enclave_as<ErngOptNode>(0).result();
@@ -54,7 +54,7 @@ TEST(ErngOpt, ByzantineChainInsideClusterIsEliminated) {
   // chain that delays one ERB instance. Honest agreement must survive and
   // the chain members must churn out.
   const std::uint32_t n = 12;
-  auto cfg = small_config(n, 77);
+  auto cfg = sim_config(n, 77);
   cfg.t = 3;
   auto plan = std::make_shared<adversary::ChainPlan>();
   plan->order = {1, 2};
@@ -69,7 +69,7 @@ TEST(ErngOpt, ByzantineChainInsideClusterIsEliminated) {
               return nullptr;
             });
   bed.start();
-  bed.run_rounds(40, all_honest_done<ErngOptNode>(bed));
+  bed.run_rounds(40, honest_done(bed));
 
   std::optional<Bytes> agreed;
   bool agreed_set = false;
@@ -95,7 +95,7 @@ TEST(ErngOpt, GammaControlsClusterExpectation) {
     double total = 0;
     const int kSeeds = 3;
     for (int seed = 1; seed <= kSeeds; ++seed) {
-      auto cfg = small_config(n, 1000 * gamma + seed);
+      auto cfg = sim_config(n, 1000 * gamma + seed);
       cfg.t = n / 3;
       cfg.mode = protocol::ChannelMode::kAccounted;
       protocol::ErngOptParams params;
@@ -103,7 +103,7 @@ TEST(ErngOpt, GammaControlsClusterExpectation) {
       sim::Testbed bed(cfg);
       bed.build(erng_opt_factory(params));
       bed.start();
-      bed.run_rounds(n, all_honest_done<ErngOptNode>(bed));
+      bed.run_rounds(n, honest_done(bed));
       total += static_cast<double>(
           bed.enclave_as<ErngOptNode>(0).result().cluster_size);
     }
@@ -116,7 +116,7 @@ TEST(ErngOpt, GammaControlsClusterExpectation) {
 TEST(ErngOpt, OnePhaseProducesMoreInitiators) {
   const std::uint32_t n = 192;
   auto run = [&](bool one_phase) {
-    auto cfg = small_config(n, 5);
+    auto cfg = sim_config(n, 5);
     cfg.t = n / 3;
     cfg.mode = protocol::ChannelMode::kAccounted;
     protocol::ErngOptParams params;
@@ -125,7 +125,7 @@ TEST(ErngOpt, OnePhaseProducesMoreInitiators) {
     sim::Testbed bed(cfg);
     bed.build(erng_opt_factory(params));
     bed.start();
-    bed.run_rounds(n, all_honest_done<ErngOptNode>(bed));
+    bed.run_rounds(n, honest_done(bed));
     std::size_t initiators = 0;
     for (NodeId id = 0; id < n; ++id) {
       if (bed.enclave_as<ErngOptNode>(id).result().second_phase) ++initiators;
@@ -141,12 +141,12 @@ TEST(ErngOpt, OnePhaseProducesMoreInitiators) {
 
 TEST(ErngOpt, SetSizeMatchesInitiatorDeliveries) {
   const std::uint32_t n = 12;
-  auto cfg = small_config(n, 9);
+  auto cfg = sim_config(n, 9);
   cfg.t = 3;
   sim::Testbed bed(cfg);
   bed.build(erng_opt_factory());
   bed.start();
-  bed.run_rounds(40, all_honest_done<ErngOptNode>(bed));
+  bed.run_rounds(40, honest_done(bed));
   std::size_t initiators = 0;
   for (NodeId id = 0; id < n; ++id) {
     if (bed.enclave_as<ErngOptNode>(id).result().second_phase) ++initiators;

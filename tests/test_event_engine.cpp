@@ -28,13 +28,11 @@
 #include "crypto/sha256.hpp"
 #include "net/network.hpp"
 #include "net/simulator.hpp"
-#include "net/testbed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pool.hpp"
 #include "obs/trace.hpp"
-#include "recovery/coordinator.hpp"
+#include "scenario/scenario.hpp"
 #include "shard/coordinator.hpp"
-#include "testbed_util.hpp"
 
 namespace sgxp2p {
 namespace {
@@ -42,9 +40,8 @@ namespace {
 using protocol::ErbNode;
 using protocol::ErngBasicNode;
 using protocol::ErngOptNode;
-using testutil::all_honest_done;
-using testutil::all_honest_erb_decided;
-using testutil::small_config;
+using scenario::honest_done;
+using scenario::sim_config;
 
 // Everything observable about one protocol run.
 struct Artifacts {
@@ -87,12 +84,12 @@ Artifacts finish(sim::Testbed& bed, std::uint32_t rounds) {
 Artifacts run_erb(bool clear_pool = true) {
   return capture(
       []() {
-        auto cfg = small_config(25, 7);
+        auto cfg = sim_config(25, 7);
         sim::Testbed bed(cfg);
-        bed.build(testutil::erb_factory(0, to_bytes("engine-equivalence")));
+        bed.build(scenario::erb_factory(0, to_bytes("engine-equivalence")));
         bed.start();
-        std::uint32_t rounds = bed.run_rounds(cfg.effective_t() + 4,
-                                              all_honest_erb_decided(bed));
+        std::uint32_t rounds = bed.run_rounds(
+            scenario::t_budget(cfg.effective_t()), honest_done(bed));
         for (NodeId id : bed.honest_nodes()) {
           EXPECT_TRUE(bed.enclave_as<ErbNode>(id).result().decided);
         }
@@ -107,11 +104,11 @@ Artifacts run_erb(bool clear_pool = true) {
 // handles every blob itself.
 Artifacts run_erb_accounted() {
   return capture([]() {
-    auto cfg = small_config(25, 7);
+    auto cfg = sim_config(25, 7);
     cfg.mode = protocol::ChannelMode::kAccounted;
     const SimDuration round = cfg.effective_round();
     sim::Testbed bed(cfg);
-    bed.build(testutil::erb_factory(0, to_bytes("engine-equivalence")),
+    bed.build(scenario::erb_factory(0, to_bytes("engine-equivalence")),
               [round](NodeId id) -> std::unique_ptr<adversary::Strategy> {
                 if (id == 3) {
                   return std::make_unique<adversary::ReplayStrategy>(round / 3);
@@ -124,7 +121,7 @@ Artifacts run_erb_accounted() {
               });
     bed.start();
     std::uint32_t rounds =
-        bed.run_rounds(cfg.effective_t() + 4, all_honest_erb_decided(bed));
+        bed.run_rounds(scenario::t_budget(cfg.effective_t()), honest_done(bed));
     for (NodeId id : bed.honest_nodes()) {
       const auto& r = bed.enclave_as<ErbNode>(id).result();
       EXPECT_TRUE(r.decided);
@@ -136,12 +133,12 @@ Artifacts run_erb_accounted() {
 
 Artifacts run_erng_basic() {
   return capture([]() {
-    auto cfg = small_config(9, 11);
+    auto cfg = sim_config(9, 11);
     sim::Testbed bed(cfg);
-    bed.build(testutil::erng_basic_factory());
+    bed.build(scenario::erng_basic_factory());
     bed.start();
-    std::uint32_t rounds = bed.run_rounds(cfg.effective_t() + 4,
-                                          all_honest_done<ErngBasicNode>(bed));
+    std::uint32_t rounds = bed.run_rounds(scenario::t_budget(cfg.effective_t()),
+                                          honest_done(bed));
     for (NodeId id : bed.honest_nodes()) {
       EXPECT_TRUE(bed.enclave_as<ErngBasicNode>(id).result().done);
     }
@@ -151,13 +148,12 @@ Artifacts run_erng_basic() {
 
 Artifacts run_erng_opt() {
   return capture([]() {
-    auto cfg = small_config(12, 13);
+    auto cfg = sim_config(12, 13);
     cfg.t = 3;
     sim::Testbed bed(cfg);
-    bed.build(testutil::erng_opt_factory());
+    bed.build(scenario::erng_opt_factory());
     bed.start();
-    std::uint32_t rounds =
-        bed.run_rounds(cfg.n, all_honest_done<ErngOptNode>(bed));
+    std::uint32_t rounds = bed.run_rounds(cfg.n, honest_done(bed));
     for (NodeId id : bed.honest_nodes()) {
       EXPECT_TRUE(bed.enclave_as<ErngOptNode>(id).result().done);
     }
@@ -165,51 +161,21 @@ Artifacts run_erng_opt() {
   });
 }
 
-// Compact copy of the recovery scenario from test_recovery.cpp: node 1 of a
-// 4-member roster crashes, restores from its newest sealed checkpoint, and
-// rejoins; one extra node joins fresh afterwards.
+// The recovery scenario: node 1 of a 4-member roster crashes, restores from
+// its newest sealed checkpoint, and rejoins; one extra node joins fresh
+// afterwards.
 Artifacts run_recovery() {
   return capture([]() {
     const std::uint32_t n = 4;
-    const NodeId victim = 1;
-    const NodeId extra = n;
-    auto cfg = small_config(n + 1, 3);
+    auto cfg = sim_config(n + 1, 3);
     cfg.t = (n - 1) / 2;
-    cfg.mode = protocol::ChannelMode::kAttested;
-    const std::uint32_t W = cfg.t + 2;
-    const std::uint32_t recover_at = 6 + 4;
-    const std::size_t w_rejoin = (recover_at - 1 + W - 1) / W;
-
-    std::vector<NodeId> roster0;
-    for (NodeId id = 0; id < n; ++id) roster0.push_back(id);
-    std::vector<protocol::JoinPlanEntry> plan(w_rejoin + 3);
-    plan[w_rejoin] = {victim, NodeId{0}, true};
-    plan[w_rejoin + 1] = {victim, NodeId{2}, true};
-    plan[w_rejoin + 2] = {extra, NodeId{0}, false};
-
     sim::Testbed bed(cfg);
-    sim::Testbed::EnclaveFactory factory =
-        [roster0, plan](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-                        protocol::PeerConfig pc, const sgx::SimIAS& ias)
-        -> std::unique_ptr<protocol::PeerEnclave> {
-      return std::make_unique<recovery::RecoverableNode>(platform, id, host,
-                                                         pc, ias, roster0,
-                                                         plan);
-    };
-    bed.build(factory);
-
-    recovery::RecoveryPlan rp;
-    rp.victim = victim;
-    rp.crash_round = 6;
-    rp.recover_round = recover_at;
-    rp.checkpoint_interval = 2;
-    recovery::RecoveryCoordinator coord(bed, factory, rp);
-    coord.install();
-
+    scenario::Recovery rec(bed, /*victim=*/1, /*crash_round=*/6,
+                           /*recover_round=*/6 + 4, /*checkpoint_every=*/2);
     bed.start();
-    std::uint32_t rounds =
-        bed.run_rounds(static_cast<std::uint32_t>((w_rejoin + 4) * W));
-    EXPECT_TRUE(coord.rejoin_complete());
+    // Runs to the round cap with no stop predicate.
+    std::uint32_t rounds = bed.run_rounds(rec.windows().budget());
+    EXPECT_TRUE(rec.coordinator().rejoin_complete());
     return finish(bed, rounds);
   });
 }
@@ -220,12 +186,8 @@ Artifacts run_recovery() {
 // and the dissemination tree.
 Artifacts run_shard() {
   return capture([]() {
-    sim::TestbedConfig cfg;
-    cfg.n = 24;
-    cfg.seed = 5;
+    auto cfg = sim_config(24, 5);
     cfg.t = 1;  // ShardNode budgets per committee (t_c), not via PeerConfig
-    cfg.net.base_delay = milliseconds(100);
-    cfg.net.max_jitter = milliseconds(100);
     sim::Testbed bed(cfg);
     bed.build(shard::ShardCoordinator::make_factory());
     bed.start();
@@ -511,12 +473,12 @@ TEST(NetworkDetach, QueuedDeliveryToDetachedNodeIsDropped) {
 // the pre-wheel heap engine visibly dragged, small enough for CI.
 
 TEST(EventEngineScale, Erb500Decides) {
-  auto cfg = small_config(500, 99);
+  auto cfg = sim_config(500, 99);
   cfg.mode = protocol::ChannelMode::kAccounted;
   sim::Testbed bed(cfg);
-  bed.build(testutil::erb_factory(0, to_bytes("scale-smoke")));
+  bed.build(scenario::erb_factory(0, to_bytes("scale-smoke")));
   bed.start();
-  bed.run_rounds(12, all_honest_erb_decided(bed));
+  bed.run_rounds(12, honest_done(bed));
   for (NodeId id : bed.honest_nodes()) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);

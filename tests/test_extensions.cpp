@@ -6,14 +6,14 @@
 #include "net/testbed.hpp"
 #include "protocol/eba.hpp"
 #include "protocol/erb_sequence.hpp"
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
 
 using protocol::EbaNode;
 using protocol::ErbSequenceNode;
-using testutil::small_config;
+using scenario::sim_config;
 
 sim::Testbed::EnclaveFactory eba_factory(
     const std::function<Bytes(NodeId)>& input_of) {
@@ -27,7 +27,7 @@ sim::Testbed::EnclaveFactory eba_factory(
 
 void run_to_done(sim::Testbed& bed) {
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4, [&]() {
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()), [&]() {
     for (NodeId id : bed.honest_nodes()) {
       if (!bed.enclave_as<EbaNode>(id).result().done) return false;
     }
@@ -37,7 +37,7 @@ void run_to_done(sim::Testbed& bed) {
 
 TEST(Eba, ValidityWithUnanimousInputs) {
   const std::uint32_t n = 7;
-  sim::Testbed bed(small_config(n, 1));
+  sim::Testbed bed(sim_config(n, 1));
   bed.build(eba_factory([](NodeId) { return to_bytes("commit"); }));
   run_to_done(bed);
   for (NodeId id = 0; id < n; ++id) {
@@ -51,7 +51,7 @@ TEST(Eba, ValidityWithUnanimousInputs) {
 
 TEST(Eba, AgreementWithSplitInputs) {
   const std::uint32_t n = 9;
-  sim::Testbed bed(small_config(n, 2));
+  sim::Testbed bed(sim_config(n, 2));
   bed.build(eba_factory(
       [](NodeId id) { return to_bytes(id < 4 ? "abort" : "commit"); }));
   run_to_done(bed);
@@ -66,7 +66,7 @@ TEST(Eba, AgreementWithSplitInputs) {
 
 TEST(Eba, AgreementUnderByzantineOmission) {
   const std::uint32_t n = 9;
-  sim::Testbed bed(small_config(n, 3));
+  sim::Testbed bed(sim_config(n, 3));
   bed.build(
       eba_factory([](NodeId id) { return to_bytes(id % 2 ? "x" : "y"); }),
       [](NodeId id) -> std::unique_ptr<adversary::Strategy> {
@@ -92,7 +92,7 @@ TEST(Eba, AgreementUnderByzantineOmission) {
 
 TEST(Eba, TieBreaksDeterministically) {
   const std::uint32_t n = 8;  // t = 3; inputs split 4/4
-  auto cfg = small_config(n, 4);
+  auto cfg = sim_config(n, 4);
   sim::Testbed bed(cfg);
   bed.build(eba_factory(
       [](NodeId id) { return to_bytes(id < 4 ? "bbb" : "aaa"); }));
@@ -121,7 +121,7 @@ TEST(ErbSequence, ConsecutiveExecutionsDeliverInOrder) {
   const std::uint32_t n = 5;
   std::vector<Bytes> payloads = {to_bytes("first"), to_bytes("second"),
                                  to_bytes("third")};
-  sim::Testbed bed(small_config(n, 6));
+  sim::Testbed bed(sim_config(n, 6));
   bed.build(seq_factory(0, payloads));
   bed.start();
   std::uint32_t window = bed.config().effective_t() + 2;
@@ -150,7 +150,7 @@ TEST(ErbSequence, CrossExecutionReplayRejected) {
   // execution still delivers its own payload.
   const std::uint32_t n = 5;
   std::vector<Bytes> payloads = {to_bytes("e0"), to_bytes("e1")};
-  auto cfg = small_config(n, 8);
+  auto cfg = sim_config(n, 8);
   sim::Testbed bed(cfg);
   SimDuration window_ms =
       static_cast<SimDuration>(cfg.effective_t() + 2) * cfg.effective_round();
@@ -175,7 +175,7 @@ TEST(ErbSequence, CrossExecutionReplayRejected) {
 TEST(ErbSequence, CrashedInitiatorGivesBottomThenNothingBreaks) {
   const std::uint32_t n = 5;
   std::vector<Bytes> payloads = {to_bytes("a"), to_bytes("b")};
-  sim::Testbed bed(small_config(n, 10));
+  sim::Testbed bed(sim_config(n, 10));
   bed.build(seq_factory(0, payloads),
             [](NodeId id) -> std::unique_ptr<adversary::Strategy> {
               if (id == 0) return std::make_unique<adversary::CrashStrategy>();

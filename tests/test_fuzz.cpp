@@ -5,8 +5,10 @@
 // artifact it uploads is exactly reproducible on a laptop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/generator.hpp"
@@ -51,12 +53,14 @@ TEST(ScheduleFuzzFormat, ValidateRejectsUnsoundSchedules) {
   // A recovering victim occupies a byzantine slot: t−1 extras max.
   Schedule rec = generate_schedule(FuzzTarget::kRecovery, 1, 93);
   ASSERT_TRUE(rec.validate(&error)) << error;
-  const RecoveryWindows rw = recovery_windows(rec);
-  if (rw.recovers) {
+  const auto recover = std::find_if(
+      rec.actions.begin(), rec.actions.end(),
+      [](const FaultAction& a) { return a.kind == ActionKind::kRecover; });
+  if (recover != rec.actions.end()) {
     Schedule greedy = rec;
     std::size_t extras = greedy.faulted_nodes().size();
     for (NodeId id = 1; id < greedy.n - 1 && extras < greedy.t; ++id) {
-      if (id == 2 || id == rw.victim) continue;
+      if (id == 2 || id == recover->node) continue;
       greedy.actions.push_back({ActionKind::kDrop, id, 1, kNoNode, 0});
       ++extras;
     }
@@ -154,6 +158,105 @@ TEST(ScheduleFuzzCorpus, PinnedSchedulesReplayByteIdentically) {
   }
   // One pinned schedule per fuzz target.
   EXPECT_GE(replayed, 5);
+}
+
+// ----- the shared ERB/ERNG judge, on hand-built reports -----
+
+using Names = std::vector<std::string>;
+
+scenario::NodeReport pending() {
+  scenario::NodeReport r;
+  r.live = true;
+  r.honest = true;
+  return r;
+}
+
+scenario::NodeReport decided(const std::string& value) {
+  scenario::NodeReport r = pending();
+  r.done = true;
+  r.value = to_bytes(value);
+  return r;
+}
+
+scenario::NodeReport bottom() {
+  scenario::NodeReport r = pending();
+  r.done = true;
+  r.bottom = true;
+  return r;
+}
+
+scenario::NodeReport faulted(scenario::NodeReport r) {
+  r.honest = false;
+  return r;
+}
+
+scenario::NodeReport dead() {
+  scenario::NodeReport r;
+  r.honest = true;
+  return r;
+}
+
+Names oracles(std::vector<scenario::NodeReport> nodes, bool erb,
+              bool canary = false) {
+  scenario::Report report;
+  report.rounds = 5;
+  report.nodes = std::move(nodes);
+  RunReport run;
+  run.violations = erb ? judge_erb(report, 0, to_bytes("m"), canary)
+                       : judge_erng(report);
+  return run.violated_oracles();
+}
+
+TEST(FuzzJudge, ErbTerminationFiresOnAnUndecidedHonestNode) {
+  EXPECT_EQ(oracles({decided("m"), decided("m"), pending()}, true),
+            Names{oracle::kErbTermination});
+}
+
+TEST(FuzzJudge, ErbAgreementFiresOnTwoHonestValues) {
+  // A faulted initiator leaves validity out of it.
+  EXPECT_EQ(oracles({faulted(decided("m")), decided("a"), decided("b")}, true),
+            Names{oracle::kErbAgreement});
+  EXPECT_EQ(oracles({faulted(decided("m")), decided("a"), bottom()}, true),
+            Names{oracle::kErbAgreement});
+  EXPECT_EQ(oracles({faulted(decided("m")), bottom(), bottom()}, true),
+            Names{});
+}
+
+TEST(FuzzJudge, ErbValidityFiresOnBottomOrForeignDecisionOfHonestInitiator) {
+  EXPECT_EQ(oracles({bottom(), bottom(), bottom()}, true),
+            Names{oracle::kErbValidity});
+  EXPECT_EQ(oracles({decided("x"), decided("x"), decided("x")}, true),
+            Names{oracle::kErbValidity});
+  EXPECT_EQ(oracles({decided("m"), decided("m"), decided("m")}, true), Names{});
+}
+
+TEST(FuzzJudge, CanaryFiresOnlyWhenArmed) {
+  const std::vector<scenario::NodeReport> nodes{faulted(decided("m")),
+                                                bottom(), bottom()};
+  EXPECT_EQ(oracles(nodes, true, /*canary=*/false), Names{});
+  EXPECT_EQ(oracles(nodes, true, /*canary=*/true),
+            Names{oracle::kCanaryNoBottom});
+}
+
+TEST(FuzzJudge, ErngTerminationAndAgreement) {
+  EXPECT_EQ(oracles({decided("r"), pending()}, false),
+            Names{oracle::kErngTermination});
+  EXPECT_EQ(oracles({decided("r"), decided("s")}, false),
+            Names{oracle::kErngAgreement});
+  EXPECT_EQ(oracles({decided("r"), bottom()}, false),
+            Names{oracle::kErngAgreement});
+  EXPECT_EQ(oracles({bottom(), decided("r")}, false),
+            Names{oracle::kErngAgreement});
+  EXPECT_EQ(oracles({bottom(), bottom()}, false), Names{});
+  EXPECT_EQ(oracles({decided("r"), decided("r")}, false), Names{});
+}
+
+TEST(FuzzJudge, DeadAndFaultedNodesNeverFire) {
+  const std::vector<scenario::NodeReport> nodes{
+      decided("m"), dead(), faulted(pending()), faulted(decided("x")),
+      faulted(bottom())};
+  EXPECT_EQ(oracles(nodes, true, /*canary=*/true), Names{});
+  EXPECT_EQ(oracles(nodes, false), Names{});
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 #include "protocol/flood.hpp"
 #include "protocol/membership.hpp"
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
@@ -11,7 +11,7 @@ namespace {
 using protocol::FloodNode;
 using protocol::JoinPlanEntry;
 using protocol::RosterNode;
-using testutil::small_config;
+using scenario::sim_config;
 
 sim::Testbed::EnclaveFactory roster_factory(std::vector<NodeId> initial,
                                             std::vector<JoinPlanEntry> plan) {
@@ -29,7 +29,7 @@ TEST(Membership, SingleJoinConverges) {
   const std::uint32_t n = 6;
   std::vector<NodeId> initial = {0, 1, 2, 3, 4};
   std::vector<JoinPlanEntry> plan = {{5, 0}};
-  sim::Testbed bed(small_config(n, 21));
+  sim::Testbed bed(sim_config(n, 21));
   bed.build(roster_factory(initial, plan));
   bed.start();
   std::uint32_t window = bed.config().effective_t() + 2;
@@ -51,7 +51,7 @@ TEST(Membership, SequentialJoinsGrowTheRoster) {
   const std::uint32_t n = 8;
   std::vector<NodeId> initial = {0, 1, 2, 3, 4};
   std::vector<JoinPlanEntry> plan = {{5, 0}, {6, 2}, {7, 1}};
-  sim::Testbed bed(small_config(n, 22));
+  sim::Testbed bed(sim_config(n, 22));
   bed.build(roster_factory(initial, plan));
   bed.start();
   std::uint32_t window = bed.config().effective_t() + 2;
@@ -74,7 +74,7 @@ TEST(Membership, CrashedSponsorFailsJoinConsistently) {
   const std::uint32_t n = 7;
   std::vector<NodeId> initial = {0, 1, 2, 3, 4};
   std::vector<JoinPlanEntry> plan = {{5, 1}, {6, 2}};
-  sim::Testbed bed(small_config(n, 23));
+  sim::Testbed bed(sim_config(n, 23));
   bed.build(roster_factory(initial, plan),
             [](NodeId id) -> std::unique_ptr<adversary::Strategy> {
               if (id == 1) return std::make_unique<adversary::CrashStrategy>();

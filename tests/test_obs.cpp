@@ -13,7 +13,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
@@ -202,26 +202,17 @@ ErbRunCapture run_erb_chain_instrumented(std::uint64_t seed) {
 
   constexpr std::uint32_t kN = 8;
   constexpr std::uint32_t kF = 2;
-  auto cfg = testutil::small_config(kN, seed);
+  auto cfg = scenario::sim_config(kN, seed);
   // TestbedConfig.seed drives platform keys and adversary coins only; the
   // jitter stream has its own seed, which must vary too for traces to
   // diverge across "seeds".
   cfg.net.seed = seed;
   sim::Testbed bed(cfg);
-  auto plan = std::make_shared<adversary::ChainPlan>();
-  for (NodeId id = 0; id < kF; ++id) plan->order.push_back(id);
-  plan->release = adversary::ChainPlan::Release::kSingleHonest;
-  plan->honest_target = kF;
-  bed.build(testutil::erb_factory(0, to_bytes("determinism payload")),
-            [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
-              if (id < kF) {
-                return std::make_unique<adversary::ChainStrategy>(plan);
-              }
-              return nullptr;
-            });
+  bed.build(scenario::erb_factory(0, to_bytes("determinism payload")),
+            scenario::chain(kF));
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4,
-                 testutil::all_honest_erb_decided(bed));
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()),
+                 scenario::honest_done(bed));
 
   ErbRunCapture out;
   out.trace_jsonl = tr.to_jsonl();

@@ -312,26 +312,28 @@ TEST(ReplayWindow, V1CheckpointRejected) {
 
 TEST(SweepRunner, JobsInvariantResultsAndMetrics) {
   auto point = [](std::size_t i) {
-    return bench::run_erb(6, 0, protocol::ChannelMode::kAccounted,
-                          900 + static_cast<std::uint64_t>(i));
+    return scenario::run_erb(
+        scenario::sim_config(6, 900 + i, scenario::kBenchDelta,
+                             protocol::ChannelMode::kAccounted),
+        bench::kErbPayload);
   };
   obs::MetricsRegistry reg_seq, reg_par;
-  std::vector<bench::RunStats> seq, par;
+  std::vector<scenario::Report> seq, par;
   {
     obs::MetricsRegistry::ScopedCurrent bind(reg_seq);
-    seq = bench::run_sweep<bench::RunStats>(5, 1, point);
+    seq = bench::run_sweep<scenario::Report>(5, 1, point);
   }
   {
     obs::MetricsRegistry::ScopedCurrent bind(reg_par);
-    par = bench::run_sweep<bench::RunStats>(5, 4, point);
+    par = bench::run_sweep<scenario::Report>(5, 4, point);
   }
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(seq[i].rounds, par[i].rounds);
     EXPECT_EQ(seq[i].messages, par[i].messages);
     EXPECT_EQ(seq[i].bytes, par[i].bytes);
-    EXPECT_DOUBLE_EQ(seq[i].termination_s, par[i].termination_s);
-    EXPECT_EQ(seq[i].all_decided, par[i].all_decided);
+    EXPECT_DOUBLE_EQ(seq[i].termination_s(), par[i].termination_s());
+    EXPECT_EQ(seq[i].honest_done(), par[i].honest_done());
   }
   // The merged parent registries must be byte-identical JSON.
   EXPECT_EQ(reg_seq.to_json(), reg_par.to_json());

@@ -10,17 +10,17 @@
 
 #include <tuple>
 
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
 
 using protocol::ErbNode;
 using protocol::ErngBasicNode;
-using testutil::all_honest_erb_decided;
-using testutil::erb_factory;
-using testutil::erng_basic_factory;
-using testutil::small_config;
+using scenario::erb_factory;
+using scenario::erng_basic_factory;
+using scenario::honest_done;
+using scenario::sim_config;
 
 // ---------- ERB grid: (n, f, seed) with the chain adversary ----------
 
@@ -34,23 +34,12 @@ TEST_P(ErbGrid, ReliableBroadcastProperties) {
     GTEST_SKIP() << "infeasible combination: f must stay below t";
   }
 
-  auto plan = std::make_shared<adversary::ChainPlan>();
-  for (NodeId id = 0; id < f; ++id) plan->order.push_back(id);
-  plan->release = adversary::ChainPlan::Release::kSingleHonest;
-  plan->honest_target = f;
-
-  sim::Testbed bed(small_config(n, seed));
+  sim::Testbed bed(sim_config(n, seed));
   Bytes payload = to_bytes("grid");
-  bed.build(erb_factory(0, payload), [&](NodeId id)
-                                         -> std::unique_ptr<adversary::Strategy> {
-    if (f > 0 && id < f) {
-      return std::make_unique<adversary::ChainStrategy>(plan);
-    }
-    return nullptr;
-  });
+  bed.build(erb_factory(0, payload), scenario::chain(f));
   bed.start();
   const std::uint32_t t = bed.config().effective_t();
-  bed.run_rounds(t + 4, all_honest_erb_decided(bed));
+  bed.run_rounds(t + 4, honest_done(bed));
 
   std::optional<Bytes> agreed;
   bool agreed_set = false;
@@ -107,7 +96,7 @@ struct Fingerprint {
 };
 
 Fingerprint run_fingerprint(std::uint64_t seed) {
-  sim::Testbed bed(small_config(9, seed));
+  sim::Testbed bed(sim_config(9, seed));
   bed.build(erng_basic_factory(), [](NodeId id)
                                       -> std::unique_ptr<adversary::Strategy> {
     if (id >= 7) {
@@ -116,7 +105,7 @@ Fingerprint run_fingerprint(std::uint64_t seed) {
     return nullptr;
   });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4);
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()));
   Fingerprint fp;
   fp.messages = bed.network().meter().messages();
   fp.bytes = bed.network().meter().bytes();
@@ -143,12 +132,12 @@ TEST(ChannelMode, AccountedMatchesAttestedShape) {
   // counts, identical wire bytes (the accounted mode pads the AEAD
   // overhead), identical decisions.
   auto run = [](protocol::ChannelMode mode) {
-    auto cfg = small_config(9, 55);
+    auto cfg = sim_config(9, 55);
     cfg.mode = mode;
     sim::Testbed bed(cfg);
     bed.build(erb_factory(2, to_bytes("equivalence")));
     bed.start();
-    bed.run_rounds(6, all_honest_erb_decided(bed));
+    bed.run_rounds(6, honest_done(bed));
     std::vector<std::uint32_t> rounds;
     for (NodeId id = 0; id < 9; ++id) {
       rounds.push_back(bed.enclave_as<ErbNode>(id).result().round);
@@ -169,7 +158,7 @@ class ErngOmissionSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ErngOmissionSweep, AgreementHolds) {
   const double drop = GetParam() / 100.0;
-  sim::Testbed bed(small_config(7, 300 + GetParam()));
+  sim::Testbed bed(sim_config(7, 300 + GetParam()));
   bed.build(erng_basic_factory(),
             [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
               if (id >= 5) {
@@ -179,7 +168,7 @@ TEST_P(ErngOmissionSweep, AgreementHolds) {
               return nullptr;
             });
   bed.start();
-  bed.run_rounds(bed.config().effective_t() + 4);
+  bed.run_rounds(scenario::t_budget(bed.config().effective_t()));
   const auto& r0 = bed.enclave_as<ErngBasicNode>(0).result();
   ASSERT_TRUE(r0.done);
   for (NodeId id : bed.honest_nodes()) {

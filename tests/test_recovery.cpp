@@ -11,28 +11,13 @@
 #include <memory>
 #include <vector>
 
-#include "adversary/strategies.hpp"
-#include "net/tcp_testbed.hpp"
-#include "net/testbed.hpp"
-#include "recovery/coordinator.hpp"
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
 
 using recovery::RecoverableNode;
 using recovery::RestoreOutcome;
-
-sim::Testbed::EnclaveFactory roster_factory(
-    std::vector<NodeId> roster0, std::vector<protocol::JoinPlanEntry> plan) {
-  return [roster0 = std::move(roster0), plan = std::move(plan)](
-             NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-             protocol::PeerConfig cfg,
-             const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-    return std::make_unique<RecoverableNode>(platform, id, host, cfg, ias,
-                                             roster0, plan);
-  };
-}
 
 // ---------------------------------------------------------------------------
 // Full scenario driver, mirroring `sgxp2p-sim --protocol recovery`: N initial
@@ -65,61 +50,29 @@ struct ScenarioResult {
 
 ScenarioResult run_scenario(const ScenarioOptions& o) {
   const NodeId victim = 1;
-  const NodeId extra = o.n;  // joins fresh after the recovery completes
-  auto cfg = testutil::small_config(o.n + 1, o.seed);
+  auto cfg = scenario::sim_config(o.n + 1, o.seed);
   cfg.t = (o.n - 1) / 2;  // tolerance sized to the initial membership
-  cfg.mode = protocol::ChannelMode::kAttested;
-  const std::uint32_t W = cfg.t + 2;
-  const std::uint32_t recover_at = o.crash_at + o.recover_after;
-  const std::size_t w_rejoin = (recover_at - 1 + W - 1) / W;
-
-  std::vector<NodeId> roster0;
-  for (NodeId id = 0; id < o.n; ++id) roster0.push_back(id);
-  std::vector<protocol::JoinPlanEntry> plan(w_rejoin + 3);
-  plan[w_rejoin] = {victim, NodeId{0}, true};
-  plan[w_rejoin + 1] = {victim, NodeId{2}, true};  // sponsor retry
-  plan[w_rejoin + 2] = {extra, NodeId{0}, false};  // fresh-join ERB proof
-
   sim::Testbed bed(cfg);
-  auto factory = roster_factory(roster0, plan);
-  bed.build(factory, [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
-    if (o.stale_replay && id == victim) {
-      return std::make_unique<adversary::StaleSealReplayStrategy>();
-    }
-    return nullptr;
-  });
-
-  recovery::RecoveryPlan rp;
-  rp.victim = victim;
-  rp.crash_round = o.crash_at;
-  rp.recover_round = recover_at;
-  rp.checkpoint_interval = o.checkpoint_every;
-  recovery::RecoveryCoordinator coord(bed, factory, rp);
-  coord.install();
-
+  scenario::Recovery rec(
+      bed, victim, o.crash_at, o.crash_at + o.recover_after,
+      o.checkpoint_every,
+      [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
+        if (o.stale_replay && id == victim) {
+          return std::make_unique<adversary::StaleSealReplayStrategy>();
+        }
+        return nullptr;
+      });
+  const recovery::RecoveryCoordinator& coord = rec.coordinator();
   bed.start();
-  auto converged = [&]() {
-    if (!coord.rejoin_complete()) return false;
-    for (NodeId id = 0; id < cfg.n; ++id) {
-      if (!bed.has_enclave(id)) return false;
-      auto& node = bed.enclave_as<RecoverableNode>(id);
-      const auto& roster = node.roster();
-      if (!node.is_member() || roster.size() != o.n + 1 ||
-          std::find(roster.begin(), roster.end(), extra) == roster.end()) {
-        return false;
-      }
-    }
-    return true;
-  };
 
   ScenarioResult r;
-  r.rounds = bed.run_rounds(static_cast<std::uint32_t>((w_rejoin + 4) * W),
-                            converged);
+  r.rounds = bed.run_rounds(rec.windows().budget(),
+                            [&]() { return rec.converged(); });
   r.rejoin_round = coord.rejoin_round();
   r.outcome = coord.restore_outcome();
   r.fallback = coord.used_fresh_fallback();
   r.rejoined = coord.rejoin_complete();
-  r.converged = converged();
+  r.converged = rec.converged();
   r.messages = bed.network().meter().messages();
   r.bytes = bed.network().meter().bytes();
   r.victim_seals = coord.store(victim).history();
@@ -216,11 +169,9 @@ TEST(Recovery, SameSeedRunsAreIdentical) {
 // must be rejected outright, and only the newest blob restores.
 // ---------------------------------------------------------------------------
 TEST(Recovery, MonotonicCounterAcceptsOnlyNewestSeal) {
-  auto cfg = testutil::small_config(4, 3);
-  cfg.mode = protocol::ChannelMode::kAttested;
-  std::vector<NodeId> roster0{0, 1, 2, 3};
-  auto factory = roster_factory(roster0, {});
-  sim::Testbed bed(cfg);
+  const scenario::Factory factory =
+      scenario::recoverable_factory({0, 1, 2, 3}, {});
+  sim::Testbed bed(scenario::sim_config(4, 3));
   bed.build(factory);
   bed.start();
   bed.run_rounds(2);
@@ -259,22 +210,14 @@ TEST(TcpRecovery, CrashRecoverRejoinOverSockets) {
   cfg.round_ms = 150;
   cfg.seed = 11;
   const NodeId victim = 1;
-  const std::uint32_t W = 3;  // window length t+2 with n=3, t=1
+  // Window length W = t + 2 = 3; the relaunch lands mid-window 1, so the
+  // REJOIN runs in windows 2 and 3 (sponsor retry).
+  const scenario::RecoveryWindows w = scenario::recovery_windows(1, 3, 5);
+  const std::uint32_t W = w.W;
 
   std::vector<NodeId> roster0{0, 1, 2};
-  // Recovery lands mid-window-1; REJOIN windows 2 and 3 (sponsor retry).
-  std::vector<protocol::JoinPlanEntry> plan(4);
-  plan[2] = {victim, NodeId{0}, true};
-  plan[3] = {victim, NodeId{2}, true};
-
-  net::TcpTestbed::EnclaveFactory factory =
-      [&roster0, &plan](NodeId id, sgx::SgxPlatform& platform,
-                        sgx::EnclaveHostIface& host, protocol::PeerConfig pc,
-                        const sgx::SimIAS& ias)
-      -> std::unique_ptr<protocol::PeerEnclave> {
-    return std::make_unique<RecoverableNode>(platform, id, host, pc, ias,
-                                             roster0, plan);
-  };
+  const scenario::Factory factory = scenario::recoverable_factory(
+      roster0, scenario::join_plan(w, victim, kNoNode));
 
   net::TcpTestbed bed(cfg);
   ASSERT_TRUE(bed.build(factory));

@@ -9,7 +9,7 @@
 #include "protocol/erb_node.hpp"
 #include "protocol/wire.hpp"
 #include "sgx/attestation.hpp"
-#include "testbed_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
@@ -60,9 +60,9 @@ TEST(Fuzz, EnclaveDeliverSurvivesGarbageStorm) {
   // claimed to come from every peer. The protocol outcome must be exactly
   // the honest outcome.
   const std::uint32_t n = 5;
-  sim::Testbed bed(testutil::small_config(n, 404));
+  sim::Testbed bed(scenario::sim_config(n, 404));
   Bytes msg = to_bytes("survives");
-  bed.build(testutil::erb_factory(0, msg));
+  bed.build(scenario::erb_factory(0, msg));
   bed.start();
 
   Rng rng(505);
@@ -77,7 +77,7 @@ TEST(Fuzz, EnclaveDeliverSurvivesGarbageStorm) {
   bed.run_rounds(1);
   storm(2);
   storm(3);
-  bed.run_rounds(5, testutil::all_honest_erb_decided(bed));
+  bed.run_rounds(5, scenario::honest_done(bed));
   for (NodeId id = 0; id < n; ++id) {
     const auto& r = bed.enclave_as<protocol::ErbNode>(id).result();
     ASSERT_TRUE(r.decided) << "node " << id;
@@ -91,8 +91,8 @@ TEST(Fuzz, MutatedRealBlobsAllRejected) {
   // must reject all mutants (none may reach the protocol as a different
   // message).
   const std::uint32_t n = 3;
-  sim::Testbed bed(testutil::small_config(n, 606));
-  bed.build(testutil::erb_factory(0, to_bytes("original")));
+  sim::Testbed bed(scenario::sim_config(n, 606));
+  bed.build(scenario::erb_factory(0, to_bytes("original")));
 
   // Craft a genuine blob by sealing through enclave 0's setup path.
   Bytes real_blob = bed.enclave(0).make_seq_blob(1);

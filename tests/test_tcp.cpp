@@ -25,8 +25,7 @@
 #include "net/tcp_bus.hpp"
 #include "net/tcp_testbed.hpp"
 #include "obs/metrics.hpp"
-#include "protocol/erb_node.hpp"
-#include "protocol/erng_basic.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p::net {
 namespace {
@@ -134,29 +133,20 @@ TEST(TcpIntegration, ErbOverSockets) {
   cfg.round_ms = 150;
   TcpTestbed bed(cfg);
   Bytes msg = to_bytes("tcp broadcast");
-  ASSERT_TRUE(bed.build(
-      [&](NodeId id, sgx::SgxPlatform& platform, sgx::EnclaveHostIface& host,
-          protocol::PeerConfig pc,
-          const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-        return std::make_unique<protocol::ErbNode>(
-            platform, id, host, pc, ias, NodeId{0}, id == 0 ? msg : Bytes{});
-      }));
+  ASSERT_TRUE(bed.build(scenario::erb_factory(0, msg)));
   bed.start();
-  bed.run_rounds(6, [&]() {
-    for (NodeId id = 0; id < cfg.n; ++id) {
-      if (!bed.enclave_as<protocol::ErbNode>(id).result().decided) {
-        return false;
-      }
-    }
-    return true;
-  });
+  const std::vector<NodeId> all{0, 1, 2, 3, 4};
+  const scenario::Report report = scenario::collect(
+      bed, bed.run_rounds(6, scenario::honest_done(bed, all)), all);
+  for (NodeId id = 0; id < cfg.n; ++id) {
+    const scenario::NodeReport& r = report.nodes[id];
+    EXPECT_TRUE(r.done) << "node " << id;
+    EXPECT_FALSE(r.bottom) << "node " << id;
+    EXPECT_EQ(r.value, msg) << "node " << id;
+  }
   bed.locked([&] {
     for (NodeId id = 0; id < cfg.n; ++id) {
-      const auto& r = bed.enclave_as<protocol::ErbNode>(id).result();
-      EXPECT_TRUE(r.decided) << "node " << id;
-      ASSERT_TRUE(r.value.has_value()) << "node " << id;
-      EXPECT_EQ(*r.value, msg);
-      EXPECT_LE(r.round, 3u);
+      EXPECT_LE(bed.enclave_as<protocol::ErbNode>(id).result().round, 3u);
     }
   });
 }
@@ -166,31 +156,16 @@ TEST(TcpIntegration, ErngOverSockets) {
   cfg.n = 5;
   cfg.round_ms = 150;
   TcpTestbed bed(cfg);
-  ASSERT_TRUE(bed.build(
-      [](NodeId id, sgx::SgxPlatform& platform, sgx::EnclaveHostIface& host,
-         protocol::PeerConfig pc,
-         const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-        return std::make_unique<protocol::ErngBasicNode>(platform, id, host,
-                                                         pc, ias);
-      }));
+  ASSERT_TRUE(bed.build(scenario::erng_basic_factory()));
   bed.start();
-  bed.run_rounds(8, [&]() {
-    for (NodeId id = 0; id < cfg.n; ++id) {
-      if (!bed.enclave_as<protocol::ErngBasicNode>(id).result().done) {
-        return false;
-      }
-    }
-    return true;
-  });
-  bed.locked([&] {
-    const auto& r0 = bed.enclave_as<protocol::ErngBasicNode>(0).result();
-    EXPECT_TRUE(r0.done);
-    for (NodeId id = 1; id < cfg.n; ++id) {
-      const auto& r = bed.enclave_as<protocol::ErngBasicNode>(id).result();
-      EXPECT_TRUE(r.done) << "node " << id;
-      EXPECT_EQ(r.value, r0.value) << "node " << id;
-    }
-  });
+  const std::vector<NodeId> all{0, 1, 2, 3, 4};
+  const scenario::Report report = scenario::collect(
+      bed, bed.run_rounds(8, scenario::honest_done(bed, all)), all);
+  EXPECT_TRUE(report.nodes[0].done);
+  for (NodeId id = 1; id < cfg.n; ++id) {
+    EXPECT_TRUE(report.nodes[id].done) << "node " << id;
+    EXPECT_EQ(report.nodes[id].value, report.nodes[0].value) << "node " << id;
+  }
 }
 
 TEST(TcpBackpressure, WatermarkTripAndRecover) {

@@ -127,14 +127,19 @@
 //                                        --transport tcp (default 200)
 //
 // Exit status: fuzz mode exits 1 when a failure was found, replay mode
-// exits 1 on any mismatch — both are CI gates.
+// exits 1 on any mismatch — both are CI gates. A numeric flag whose value
+// is not a plain decimal integer in range (--n at least 2, --delta-ms at
+// least 1; 0 is accepted where it means "default" or "off") exits 2 with a
+// message that names the flag.
 //
 // SGXP2P_LOG_LEVEL=trace|debug|info|warn|error|off raises/lowers stderr
 // logging verbosity.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -146,15 +151,12 @@
 #include "fuzz/mcheck.hpp"
 #include "fuzz/schedule.hpp"
 #include "fuzz/tcp_runner.hpp"
-#include "net/testbed.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocol/eba.hpp"
-#include "protocol/erb_node.hpp"
 #include "protocol/erng_basic.hpp"
-#include "protocol/erng_opt.hpp"
-#include "recovery/coordinator.hpp"
+#include "scenario/scenario.hpp"
 #include "shard/coordinator.hpp"
 
 using namespace sgxp2p;
@@ -217,49 +219,50 @@ bool flag_present(int argc, char** argv, const char* name) {
   return false;
 }
 
+/// Reads numeric flag `name` into `out` when present. Only decimal digits
+/// within [lo, hi] are accepted; anything else exits 2 with a message that
+/// names the flag.
+template <typename T>
+void read_number(int argc, char** argv, const char* name, T& out,
+                 std::uint64_t lo,
+                 std::uint64_t hi = std::numeric_limits<T>::max()) {
+  const char* v = flag_value(argc, argv, name);
+  if (v == nullptr) return;
+  const char* end = v + std::strlen(v);
+  std::uint64_t x = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || x < lo || x > hi) {
+    std::fprintf(stderr, "%s: expected a decimal integer in [%llu, %llu], "
+                 "got '%s'\n", name, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), v);
+    std::exit(2);
+  }
+  out = static_cast<T>(x);
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   if (const char* v = flag_value(argc, argv, "--protocol")) o.protocol = v;
-  if (const char* v = flag_value(argc, argv, "--n")) o.n = std::atoi(v);
-  if (const char* v = flag_value(argc, argv, "--t")) o.t = std::atoi(v);
+  read_number(argc, argv, "--n", o.n, 2);
+  read_number(argc, argv, "--t", o.t, 0);
   if (const char* v = flag_value(argc, argv, "--adversary")) o.adversary = v;
-  if (const char* v = flag_value(argc, argv, "--byz")) o.byz = std::atoi(v);
-  if (const char* v = flag_value(argc, argv, "--seed")) o.seed = std::atoll(v);
-  if (const char* v = flag_value(argc, argv, "--delta-ms")) {
-    o.delta_ms = std::atoi(v);
-  }
+  read_number(argc, argv, "--byz", o.byz, 0);
+  read_number(argc, argv, "--seed", o.seed, 0);
+  read_number(argc, argv, "--delta-ms", o.delta_ms, 1);
   if (const char* v = flag_value(argc, argv, "--mode")) o.mode = v;
   if (const char* v = flag_value(argc, argv, "--sgx-costs")) o.sgx_costs = v;
-  if (const char* v = flag_value(argc, argv, "--sgx-working-set")) {
-    o.sgx_working_set_mb = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = flag_value(argc, argv, "--crash-at")) {
-    o.crash_at = std::atoi(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--recover-after")) {
-    o.recover_after = std::atoi(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--checkpoint-every")) {
-    o.checkpoint_every = std::atoi(v);
-  }
+  read_number(argc, argv, "--sgx-working-set", o.sgx_working_set_mb, 0);
+  read_number(argc, argv, "--crash-at", o.crash_at, 1);
+  read_number(argc, argv, "--recover-after", o.recover_after, 1);
+  read_number(argc, argv, "--checkpoint-every", o.checkpoint_every, 0);
   o.stale_replay = flag_present(argc, argv, "--stale-replay");
-  if (const char* v = flag_value(argc, argv, "--committee-size")) {
-    o.committee_size = std::atoi(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--committees")) {
-    o.committees = std::atoi(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--epochs")) {
-    o.epochs = std::atoi(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--fuzz")) o.fuzz = std::atoi(v);
-  if (const char* v = flag_value(argc, argv, "--fuzz-seed")) {
-    o.fuzz_seed = std::atoll(v);
-  }
+  read_number(argc, argv, "--committee-size", o.committee_size, 0);
+  read_number(argc, argv, "--committees", o.committees, 0);
+  read_number(argc, argv, "--epochs", o.epochs, 1);
+  read_number(argc, argv, "--fuzz", o.fuzz, 0);
+  read_number(argc, argv, "--fuzz-seed", o.fuzz_seed, 0);
   if (const char* v = flag_value(argc, argv, "--fuzz-out")) o.fuzz_out = v;
-  if (const char* v = flag_value(argc, argv, "--fuzz-max-failures")) {
-    o.fuzz_max_failures = std::atoi(v);
-  }
+  read_number(argc, argv, "--fuzz-max-failures", o.fuzz_max_failures, 1);
   o.fuzz_canary = flag_present(argc, argv, "--fuzz-canary");
   if (const char* v = flag_value(argc, argv, "--fuzz-coverage")) {
     o.fuzz_coverage = v;
@@ -268,22 +271,14 @@ Options parse(int argc, char** argv) {
     o.fuzz_corpus_out = v;
   }
   o.mcheck = flag_present(argc, argv, "--mcheck");
-  if (const char* v = flag_value(argc, argv, "--mcheck-n")) {
-    o.mcheck_n = std::atoi(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--mcheck-rounds")) {
-    o.mcheck_rounds = std::atoi(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--mcheck-bound")) {
-    o.mcheck_bound = std::atoi(v);
-  }
+  read_number(argc, argv, "--mcheck-n", o.mcheck_n, 1);
+  read_number(argc, argv, "--mcheck-rounds", o.mcheck_rounds, 1);
+  read_number(argc, argv, "--mcheck-bound", o.mcheck_bound, 1);
   if (const char* v = flag_value(argc, argv, "--replay-schedule")) {
     o.replay_schedule = v;
   }
   if (const char* v = flag_value(argc, argv, "--transport")) o.transport = v;
-  if (const char* v = flag_value(argc, argv, "--tcp-round-ms")) {
-    o.tcp_round_ms = std::atoi(v);
-  }
+  read_number(argc, argv, "--tcp-round-ms", o.tcp_round_ms, 1);
   o.csv = flag_present(argc, argv, "--csv");
   if (flag_present(argc, argv, "--metrics-out")) {
     const char* v = flag_value(argc, argv, "--metrics-out");
@@ -294,10 +289,7 @@ Options parse(int argc, char** argv) {
     const char* v = flag_value(argc, argv, "--trace");
     o.trace_path = (v != nullptr && v[0] != '-') ? v : "sim_trace.jsonl";
   }
-  if (const char* v = flag_value(argc, argv, "--trace-capacity")) {
-    std::size_t cap = std::strtoull(v, nullptr, 10);
-    if (cap > 0) o.trace_capacity = cap;
-  }
+  read_number(argc, argv, "--trace-capacity", o.trace_capacity, 1);
   return o;
 }
 
@@ -374,30 +366,29 @@ bool resolve_sgx_costs(const Options& o, sgx::TransitionCosts& out) {
 struct Outcome {
   std::uint32_t rounds = 0;
   double termination_s = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
   std::string summary;
 };
 
-template <typename NodeT, typename DoneFn, typename SummaryFn>
-Outcome drive(sim::Testbed& bed, std::uint32_t max_rounds, DoneFn done,
-              SummaryFn summarize) {
-  bed.start();
-  Outcome out;
-  out.rounds = bed.run_rounds(max_rounds, [&]() {
-    for (NodeId id : bed.honest_nodes()) {
-      if (!done(bed.enclave_as<NodeT>(id))) return false;
-    }
-    return true;
-  });
-  out.messages = bed.network().meter().messages();
-  out.bytes = bed.network().meter().bytes();
-  SimTime latest = 0;
-  for (NodeId id : bed.honest_nodes()) {
-    latest = std::max(latest, summarize(bed.enclave_as<NodeT>(id), out));
+std::string hex8(const Bytes& v) {
+  return hex_encode(ByteView(v.data(), std::min<std::size_t>(8, v.size())));
+}
+
+/// The outcome line of an erb, erng, erng-opt or eba run: node `id`'s
+/// result.
+std::string summarize(const std::string& protocol, sim::Testbed& bed,
+                      NodeId id) {
+  if (protocol == "erng") {
+    const auto& r = bed.enclave_as<protocol::ErngBasicNode>(id).result();
+    return "r=" + hex8(r.value) + "… |S|=" + std::to_string(r.set_size);
   }
-  out.termination_s = to_seconds(latest - bed.start_time());
-  return out;
+  if (protocol == "erng-opt") {
+    const auto& r = bed.enclave_as<protocol::ErngOptNode>(id).result();
+    return (r.is_bottom ? std::string("⊥") : "r=" + hex8(r.value) + "…") +
+           " cluster=" + std::to_string(r.cluster_size);
+  }
+  const scenario::NodeReport r = scenario::node_report(bed.enclave(id));
+  if (protocol == "erb") return r.bottom ? "accepted ⊥" : "accepted m";
+  return r.bottom ? "decided ⊥" : "decided " + to_string(r.value);
 }
 
 }  // namespace
@@ -624,26 +615,20 @@ int main(int argc, char** argv) {
   if (!o.trace_path.empty()) {
     obs::TraceRecorder::global().enable(o.trace_capacity);
   }
-  if (o.n < 2) {
-    std::fprintf(stderr, "--n must be at least 2\n");
-    return 2;
-  }
   if (o.byz >= o.n) {
     std::fprintf(stderr, "--byz must be < n\n");
     return 2;
   }
 
-  sim::TestbedConfig cfg;
-  cfg.n = o.n;
-  cfg.seed = o.seed;
-  cfg.net.base_delay = o.delta_ms / 2;
-  cfg.net.max_jitter = o.delta_ms - o.delta_ms / 2;
-  cfg.t = o.t != 0 ? o.t : (o.protocol == "erng-opt" ? std::max(1u, o.n / 3)
-                                                     : (o.n - 1) / 2);
-  if (2 * cfg.t >= o.n) cfg.t = (o.n - 1) / 2;
   bool accounted = o.mode.empty() ? o.n > 128 : o.mode == "accounted";
-  cfg.mode = accounted ? protocol::ChannelMode::kAccounted
-                       : protocol::ChannelMode::kAttested;
+  sim::TestbedConfig cfg = scenario::sim_config(
+      o.n, o.seed, o.delta_ms,
+      accounted ? protocol::ChannelMode::kAccounted
+                : protocol::ChannelMode::kAttested);
+  cfg.t = o.t != 0 ? o.t
+                   : (o.protocol == "erng-opt" ? scenario::erng_opt_t(o.n)
+                                               : (o.n - 1) / 2);
+  if (2 * cfg.t >= o.n) cfg.t = (o.n - 1) / 2;
   if (!resolve_sgx_costs(o, cfg.sgx_costs)) return 2;
   if (o.protocol == "recovery") {
     if (o.n < 4) {
@@ -657,11 +642,7 @@ int main(int argc, char** argv) {
     cfg.mode = protocol::ChannelMode::kAttested;
   }
 
-  auto plan = std::make_shared<adversary::ChainPlan>();
-  for (NodeId id = 0; id < o.byz; ++id) plan->order.push_back(id);
-  plan->release = adversary::ChainPlan::Release::kSingleHonest;
-  plan->honest_target = o.byz;
-
+  auto plan = scenario::chain_plan(o.byz);
   sim::Testbed bed(cfg);
   SimDuration round_ms = cfg.effective_round();
   auto strategies = [&](NodeId id) {
@@ -669,142 +650,49 @@ int main(int argc, char** argv) {
   };
 
   Outcome out;
-  if (o.protocol == "erb") {
-    Bytes payload = to_bytes("cli broadcast payload");
-    bed.build(
-        [&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-            protocol::PeerConfig pc,
-            const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-          return std::make_unique<protocol::ErbNode>(
-              platform, id, host, pc, ias, NodeId{0},
-              id == 0 ? payload : Bytes{});
-        },
-        strategies);
-    out = drive<protocol::ErbNode>(
-        bed, cfg.effective_t() + 4,
-        [](protocol::ErbNode& n) { return n.result().decided; },
-        [](protocol::ErbNode& n, Outcome& acc) {
-          acc.summary = n.result().value
-                            ? "accepted m"
-                            : "accepted ⊥";
-          return n.result().decided_at;
-        });
-  } else if (o.protocol == "erng") {
-    bed.build(
-        [](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-           protocol::PeerConfig pc,
-           const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-          return std::make_unique<protocol::ErngBasicNode>(platform, id, host,
-                                                           pc, ias);
-        },
-        strategies);
-    out = drive<protocol::ErngBasicNode>(
-        bed, cfg.effective_t() + 4,
-        [](protocol::ErngBasicNode& n) { return n.result().done; },
-        [](protocol::ErngBasicNode& n, Outcome& acc) {
-          acc.summary = "r=" + hex_encode(ByteView(n.result().value.data(),
-                                                   std::min<std::size_t>(
-                                                       8, n.result().value
-                                                              .size()))) +
-                        "… |S|=" + std::to_string(n.result().set_size);
-          return n.result().decided_at;
-        });
-  } else if (o.protocol == "erng-opt") {
-    bed.build(
-        [](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-           protocol::PeerConfig pc,
-           const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-          return std::make_unique<protocol::ErngOptNode>(platform, id, host,
-                                                         pc, ias);
-        },
-        strategies);
-    out = drive<protocol::ErngOptNode>(
-        bed, o.n + 8,
-        [](protocol::ErngOptNode& n) { return n.result().done; },
-        [](protocol::ErngOptNode& n, Outcome& acc) {
-          acc.summary =
-              (n.result().is_bottom
-                   ? std::string("⊥")
-                   : "r=" + hex_encode(ByteView(n.result().value.data(), 8)) +
-                         "…") +
-              " cluster=" + std::to_string(n.result().cluster_size);
-          return n.result().decided_at;
-        });
-  } else if (o.protocol == "eba") {
-    bed.build(
-        [&](NodeId id, sgx::SgxPlatform& platform, net::Host& host,
-            protocol::PeerConfig pc,
-            const sgx::SimIAS& ias) -> std::unique_ptr<protocol::PeerEnclave> {
-          return std::make_unique<protocol::EbaNode>(
-              platform, id, host, pc, ias,
-              to_bytes(id % 2 == 0 ? "commit" : "abort"));
-        },
-        strategies);
-    out = drive<protocol::EbaNode>(
-        bed, cfg.effective_t() + 4,
-        [](protocol::EbaNode& n) { return n.result().done; },
-        [](protocol::EbaNode& n, Outcome& acc) {
-          acc.summary = n.result().decision
-                            ? "decided " + to_string(*n.result().decision)
-                            : "decided ⊥";
-          return n.result().decided_at;
-        });
+  if (o.protocol == "erb" || o.protocol == "erng" ||
+      o.protocol == "erng-opt" || o.protocol == "eba") {
+    scenario::Factory factory;
+    std::uint32_t budget = scenario::t_budget(cfg.effective_t());
+    if (o.protocol == "erb") {
+      factory = scenario::erb_factory(0, to_bytes("cli broadcast payload"));
+    } else if (o.protocol == "erng") {
+      factory = scenario::erng_basic_factory();
+    } else if (o.protocol == "erng-opt") {
+      factory = scenario::erng_opt_factory();
+      budget = scenario::n_budget(o.n);
+    } else {
+      factory = [](NodeId id, sgx::SgxPlatform& platform,
+                   sgx::EnclaveHostIface& host, protocol::PeerConfig pc,
+                   const sgx::SimIAS& ias)
+          -> std::unique_ptr<protocol::PeerEnclave> {
+        return std::make_unique<protocol::EbaNode>(
+            platform, id, host, pc, ias,
+            to_bytes(id % 2 == 0 ? "commit" : "abort"));
+      };
+    }
+    bed.build(factory, strategies);
+    bed.start();
+    const scenario::Report r = scenario::collect(
+        bed, bed.run_rounds(budget, scenario::honest_done(bed)));
+    out.rounds = r.rounds;
+    out.termination_s = r.termination_s();
+    out.summary = summarize(o.protocol, bed, bed.honest_nodes().back());
   } else if (o.protocol == "recovery") {
     const NodeId victim = 1;
-    const NodeId extra = o.n;  // joins fresh after the recovery completes
-    const std::uint32_t W = cfg.t + 2;  // membership window length
-    const std::uint32_t crash_at = o.crash_at;
-    const std::uint32_t recover_at = crash_at + o.recover_after;
-    // First membership window starting at or after the relaunch round.
-    const std::size_t w_rejoin = (recover_at - 1 + W - 1) / W;
-    std::vector<NodeId> roster0;
-    for (NodeId id = 0; id < o.n; ++id) roster0.push_back(id);
-    std::vector<protocol::JoinPlanEntry> join_plan(w_rejoin + 3);
-    join_plan[w_rejoin] = {victim, NodeId{0}, true};
-    join_plan[w_rejoin + 1] = {victim, NodeId{2}, true};  // sponsor retry
-    join_plan[w_rejoin + 2] = {extra, NodeId{0}, false};  // fresh ERB proof
-
-    sim::Testbed::EnclaveFactory factory =
-        [roster0, join_plan](NodeId id, sgx::SgxPlatform& platform,
-                             net::Host& host, protocol::PeerConfig pc,
-                             const sgx::SimIAS& ias)
-        -> std::unique_ptr<protocol::PeerEnclave> {
-      return std::make_unique<recovery::RecoverableNode>(
-          platform, id, host, pc, ias, roster0, join_plan);
-    };
-    bed.build(factory, [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
-      if (o.stale_replay && id == victim) {
-        return std::make_unique<adversary::StaleSealReplayStrategy>();
-      }
-      return nullptr;
-    });
-
-    recovery::RecoveryPlan rp;
-    rp.victim = victim;
-    rp.crash_round = crash_at;
-    rp.recover_round = recover_at;
-    rp.checkpoint_interval = o.checkpoint_every;
-    recovery::RecoveryCoordinator coord(bed, factory, rp);
-    coord.install();
-
+    const std::uint32_t recover_at = o.crash_at + o.recover_after;
+    scenario::Recovery rec(
+        bed, victim, o.crash_at, recover_at, o.checkpoint_every,
+        [&](NodeId id) -> std::unique_ptr<adversary::Strategy> {
+          if (o.stale_replay && id == victim) {
+            return std::make_unique<adversary::StaleSealReplayStrategy>();
+          }
+          return nullptr;
+        });
+    const recovery::RecoveryCoordinator& coord = rec.coordinator();
     bed.start();
-    auto everyone_converged = [&]() {
-      if (!coord.rejoin_complete()) return false;
-      for (NodeId id = 0; id < cfg.n; ++id) {
-        if (!bed.has_enclave(id)) return false;
-        auto& node = bed.enclave_as<recovery::RecoverableNode>(id);
-        const auto& roster = node.roster();
-        if (!node.is_member() || roster.size() != o.n + 1 ||
-            std::find(roster.begin(), roster.end(), extra) == roster.end()) {
-          return false;
-        }
-      }
-      return true;
-    };
-    out.rounds = bed.run_rounds(
-        static_cast<std::uint32_t>((w_rejoin + 4) * W), everyone_converged);
-    out.messages = bed.network().meter().messages();
-    out.bytes = bed.network().meter().bytes();
+    out.rounds = bed.run_rounds(rec.windows().budget(),
+                                [&]() { return rec.converged(); });
     out.termination_s = to_seconds(bed.simulator().now() - bed.start_time());
 
     const char* restore_str =
@@ -812,12 +700,12 @@ int main(int argc, char** argv) {
         : coord.restore_outcome() == recovery::RestoreOutcome::kStale
             ? "stale seal detected, fresh re-admission"
             : "no valid seal, fresh re-admission";
-    out.summary = "crash@" + std::to_string(crash_at) + " relaunch@" +
+    out.summary = "crash@" + std::to_string(o.crash_at) + " relaunch@" +
                   std::to_string(recover_at) + " [" + restore_str + "]";
     if (coord.rejoin_complete()) {
       out.summary +=
           " rejoined@" + std::to_string(coord.rejoin_round()) +
-          (everyone_converged()
+          (rec.converged()
                ? "; post-recovery join ERB decided, all " +
                      std::to_string(cfg.n) + " nodes agree on the roster"
                : "; post-recovery join did NOT converge");
@@ -842,8 +730,6 @@ int main(int argc, char** argv) {
     shard::ShardCoordinator coord(bed, scfg);
     std::vector<shard::EpochSummary> epochs = coord.run_all();
     out.rounds = bed.rounds_run();
-    out.messages = bed.network().meter().messages();
-    out.bytes = bed.network().meter().bytes();
     out.termination_s = to_seconds(bed.simulator().now() - bed.start_time());
     const std::size_t committees = coord.election().committees().size();
     out.summary = "K=" + std::to_string(committees) +
@@ -853,10 +739,7 @@ int main(int argc, char** argv) {
           " e" + std::to_string(e.epoch) + "=" +
           (e.global_digest.empty()
                ? std::string("none")
-               : hex_encode(ByteView(e.global_digest.data(),
-                                     std::min<std::size_t>(
-                                         8, e.global_digest.size()))) +
-                     "…") +
+               : hex8(e.global_digest) + "…") +
           (e.ok() ? "" : "[ORACLE FAIL]");
     }
     if (!coord.all_ok()) {
@@ -867,13 +750,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const std::uint64_t messages = bed.network().meter().messages();
+  const std::uint64_t bytes = bed.network().meter().bytes();
   if (o.csv) {
     std::printf("%s,%u,%u,%s,%u,%llu,%u,%.3f,%llu,%llu\n", o.protocol.c_str(),
                 o.n, cfg.t, o.adversary.c_str(), o.byz,
                 static_cast<unsigned long long>(o.seed), out.rounds,
                 out.termination_s,
-                static_cast<unsigned long long>(out.messages),
-                static_cast<unsigned long long>(out.bytes));
+                static_cast<unsigned long long>(messages),
+                static_cast<unsigned long long>(bytes));
   } else {
     std::printf("protocol    : %s\n", o.protocol.c_str());
     std::printf("network     : N=%u t=%u adversary=%s byz=%u seed=%llu "
@@ -885,8 +770,8 @@ int main(int argc, char** argv) {
                 to_seconds(round_ms));
     std::printf("termination : %.3f virtual s\n", out.termination_s);
     std::printf("traffic     : %llu messages, %.3f MB\n",
-                static_cast<unsigned long long>(out.messages),
-                static_cast<double>(out.bytes) / (1024 * 1024));
+                static_cast<unsigned long long>(messages),
+                static_cast<double>(bytes) / (1024 * 1024));
     std::printf("outcome     : %s\n", out.summary.c_str());
   }
 
