@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "protocol/eba.hpp"
@@ -32,18 +33,13 @@ std::uint32_t erng_opt_t(std::uint32_t n) {
   return 2 * t >= n ? (n - 1) / 2 : t;
 }
 
-std::shared_ptr<adversary::ChainPlan> chain_plan(std::uint32_t f) {
+sim::Testbed::StrategyFactory chain(std::uint32_t f) {
+  if (f == 0) return {};
   auto plan = std::make_shared<adversary::ChainPlan>();
   for (NodeId id = 0; id < f; ++id) plan->order.push_back(id);
   plan->release = adversary::ChainPlan::Release::kSingleHonest;
   plan->honest_target = f;
-  return plan;
-}
-
-sim::Testbed::StrategyFactory chain(std::uint32_t f) {
-  if (f == 0) return {};
-  return [plan = chain_plan(f), f](
-             NodeId id) -> std::unique_ptr<adversary::Strategy> {
+  return [plan, f](NodeId id) -> std::unique_ptr<adversary::Strategy> {
     if (id < f) return std::make_unique<adversary::ChainStrategy>(plan);
     return nullptr;
   };
@@ -299,9 +295,14 @@ bool Recovery::converged(const std::vector<NodeId>& nodes) const {
 }
 
 bool Recovery::converged() const {
-  std::vector<NodeId> all;
-  for (NodeId id = 0; id < bed_->config().n; ++id) all.push_back(id);
-  return converged(all);
+  std::vector<NodeId> all(bed_->config().n);
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return converged(all) &&
+         std::all_of(all.begin(), all.end(), [this, &all](NodeId id) {
+           return bed_->enclave_as<recovery::RecoverableNode>(id)
+                      .roster()
+                      .size() == all.size();
+         });
 }
 
 }  // namespace sgxp2p::scenario

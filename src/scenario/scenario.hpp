@@ -65,9 +65,8 @@ inline constexpr SimDuration kBenchDelta = milliseconds(1000);
 }
 
 /// The Section 6.3 chain: byzantine nodes 0..f−1 relay only down the chain
-/// and the last one releases to the single honest node f.
-[[nodiscard]] std::shared_ptr<adversary::ChainPlan> chain_plan(std::uint32_t f);
-/// ChainStrategy over chain_plan(f) on nodes below f, honest elsewhere.
+/// and the last one releases to the single honest node f; the other nodes
+/// are honest.
 [[nodiscard]] sim::Testbed::StrategyFactory chain(std::uint32_t f);
 
 // ----- factories ----------------------------------------------------------
@@ -184,13 +183,12 @@ class Recovery {
            const sim::Testbed::StrategyFactory& strategies = {});
 
   [[nodiscard]] const RecoveryWindows& windows() const { return windows_; }
-  [[nodiscard]] recovery::RecoveryCoordinator& coordinator() {
-    return *coord_;
-  }
+  [[nodiscard]] recovery::RecoveryCoordinator& coordinator() { return *coord_; }
 
   /// The victim rejoined (if it relaunches) and every node of `nodes` is a
-  /// live member whose roster holds the joiner. Without a set, every node.
+  /// live member whose roster holds the joiner.
   [[nodiscard]] bool converged(const std::vector<NodeId>& nodes) const;
+  /// converged(nodes) over every node, and every roster holds all n nodes.
   [[nodiscard]] bool converged() const;
 
  private:

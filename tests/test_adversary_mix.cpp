@@ -142,12 +142,7 @@ TEST(AdversaryMix, RbSigForgedRelayRejected) {
   // value m; an attacker rewrites the value and re-presents the chain.
   Bytes seed0 = crypto::Sha256::hash_bytes(to_bytes("signer-0"));
   Bytes seed1 = crypto::Sha256::hash_bytes(to_bytes("signer-1"));
-  sim::PlainBed bed(n, [] {
-    sim::NetworkConfig cfg;
-    cfg.base_delay = milliseconds(100);
-    cfg.max_jitter = milliseconds(100);
-    return cfg;
-  }());
+  sim::PlainBed bed(n, scenario::network(scenario::kTestDelta));
   bed.build([&](NodeId id) {
     Bytes seed =
         crypto::Sha256::hash_bytes(to_bytes("s" + std::to_string(id)));

@@ -7,6 +7,7 @@
 #include "protocol/rb_early.hpp"
 #include "protocol/rb_sig.hpp"
 #include "protocol/strawman.hpp"
+#include "scenario/scenario.hpp"
 
 namespace sgxp2p {
 namespace {
@@ -17,12 +18,7 @@ using protocol::RbEarlyNode;
 using protocol::RbSigNode;
 using protocol::StrawmanNode;
 
-sim::NetworkConfig net_cfg() {
-  sim::NetworkConfig cfg;
-  cfg.base_delay = milliseconds(100);
-  cfg.max_jitter = milliseconds(100);
-  return cfg;
-}
+sim::NetworkConfig net_cfg() { return scenario::network(scenario::kTestDelta); }
 
 // ---------- Strawman ----------
 

@@ -76,7 +76,7 @@ TEST(Erb, CrashedInitiatorYieldsBottomAtTimeout) {
   });
   bed.start();
   const std::uint32_t t = bed.config().effective_t();
-  bed.run_rounds(t + 4, honest_done(bed));
+  bed.run_rounds(scenario::t_budget(t), honest_done(bed));
   for (NodeId id = 1; id < 7; ++id) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided) << "node " << id;
@@ -190,7 +190,7 @@ TEST(Erb, ChainWithNoReleaseYieldsBottomEverywhere) {
   });
   bed.start();
   const std::uint32_t t = bed.config().effective_t();
-  bed.run_rounds(t + 4, honest_done(bed));
+  bed.run_rounds(scenario::t_budget(t), honest_done(bed));
   for (NodeId id = f; id < n; ++id) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);
@@ -254,7 +254,7 @@ TEST(Erb, DelayedInitiatorIsExcludedByLockstep) {
   });
   bed.start();
   const std::uint32_t t = bed.config().effective_t();
-  bed.run_rounds(t + 4, honest_done(bed));
+  bed.run_rounds(scenario::t_budget(t), honest_done(bed));
   for (NodeId id = 1; id < n; ++id) {
     const auto& r = bed.enclave_as<ErbNode>(id).result();
     ASSERT_TRUE(r.decided);

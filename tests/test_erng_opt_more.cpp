@@ -29,7 +29,7 @@ TEST(ErngOptTraffic, SampledModeBeatsBasicByOrdersOfMagnitude) {
 
   // Optimized, sampled two-phase cluster.
   auto opt_cfg = sim_config(n, 31);
-  opt_cfg.t = n / 3;
+  opt_cfg.t = scenario::erng_opt_t(n);
   opt_cfg.mode = protocol::ChannelMode::kAccounted;
   protocol::ErngOptParams params;
   params.gamma = 8;
@@ -96,7 +96,7 @@ TEST(ErngOpt, GammaControlsClusterExpectation) {
     const int kSeeds = 3;
     for (int seed = 1; seed <= kSeeds; ++seed) {
       auto cfg = sim_config(n, 1000 * gamma + seed);
-      cfg.t = n / 3;
+      cfg.t = scenario::erng_opt_t(n);
       cfg.mode = protocol::ChannelMode::kAccounted;
       protocol::ErngOptParams params;
       params.gamma = gamma;
@@ -117,7 +117,7 @@ TEST(ErngOpt, OnePhaseProducesMoreInitiators) {
   const std::uint32_t n = 192;
   auto run = [&](bool one_phase) {
     auto cfg = sim_config(n, 5);
-    cfg.t = n / 3;
+    cfg.t = scenario::erng_opt_t(n);
     cfg.mode = protocol::ChannelMode::kAccounted;
     protocol::ErngOptParams params;
     params.gamma = 10;

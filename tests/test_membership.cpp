@@ -110,9 +110,7 @@ struct FloodBed {
   }
 
   static sim::NetworkConfig net_cfg(std::uint64_t seed) {
-    sim::NetworkConfig cfg;
-    cfg.base_delay = milliseconds(100);
-    cfg.max_jitter = milliseconds(100);
+    sim::NetworkConfig cfg = scenario::network(scenario::kTestDelta);
     cfg.seed = seed;
     return cfg;
   }

@@ -39,7 +39,7 @@ TEST_P(ErbGrid, ReliableBroadcastProperties) {
   bed.build(erb_factory(0, payload), scenario::chain(f));
   bed.start();
   const std::uint32_t t = bed.config().effective_t();
-  bed.run_rounds(t + 4, honest_done(bed));
+  bed.run_rounds(scenario::t_budget(t), honest_done(bed));
 
   std::optional<Bytes> agreed;
   bool agreed_set = false;

@@ -13,6 +13,7 @@
 #include "common/serde.hpp"
 #include "net/testbed.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/scenario.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/election.hpp"
 
@@ -132,12 +133,8 @@ TEST(ShardElection, CommitteeAssignmentIsUnbiasedChiSquared) {
 // ----- full epochs over the testbed --------------------------------------
 
 sim::TestbedConfig shard_cfg(std::uint32_t n, std::uint64_t seed) {
-  sim::TestbedConfig cfg;
-  cfg.n = n;
-  cfg.seed = seed;
+  sim::TestbedConfig cfg = scenario::sim_config(n, seed);
   cfg.t = 1;  // ShardNode budgets per committee (t_c), not via PeerConfig
-  cfg.net.base_delay = milliseconds(100);
-  cfg.net.max_jitter = milliseconds(100);
   return cfg;
 }
 

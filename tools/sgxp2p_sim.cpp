@@ -170,7 +170,7 @@ struct Options {
   std::string adversary = "none";
   std::uint32_t byz = 0;
   std::uint64_t seed = 1;
-  SimDuration delta_ms = 500;
+  std::uint32_t delta_ms = 500;
   std::string mode;
   std::string sgx_costs;  // "", "zero", "calibrated", or a JSON path
   std::uint64_t sgx_working_set_mb = 0;
@@ -202,7 +202,7 @@ struct Options {
   std::uint32_t mcheck_bound = 2;
   std::string replay_schedule;  // replay mode when non-empty
   std::string transport = "sim";  // fuzz/replay data plane: sim | tcp
-  SimDuration tcp_round_ms = 200;
+  std::uint32_t tcp_round_ms = 200;
 };
 
 const char* flag_value(int argc, char** argv, const char* name) {
@@ -220,12 +220,12 @@ bool flag_present(int argc, char** argv, const char* name) {
 }
 
 /// Reads numeric flag `name` into `out` when present. Only decimal digits
-/// within [lo, hi] are accepted; anything else exits 2 with a message that
-/// names the flag.
+/// from `lo` up to the largest value of T are accepted; anything else exits
+/// 2 with a message that names the flag.
 template <typename T>
 void read_number(int argc, char** argv, const char* name, T& out,
-                 std::uint64_t lo,
-                 std::uint64_t hi = std::numeric_limits<T>::max()) {
+                 std::uint64_t lo) {
+  const std::uint64_t hi = std::numeric_limits<T>::max();
   const char* v = flag_value(argc, argv, name);
   if (v == nullptr) return;
   const char* end = v + std::strlen(v);
@@ -293,13 +293,9 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-std::unique_ptr<adversary::Strategy> make_strategy(
-    const Options& o, NodeId id, std::shared_ptr<adversary::ChainPlan> plan,
-    SimDuration round_ms) {
+std::unique_ptr<adversary::Strategy> make_strategy(const Options& o, NodeId id,
+                                                   SimDuration round_ms) {
   if (id >= o.byz || o.adversary == "none") return nullptr;
-  if (o.adversary == "chain") {
-    return std::make_unique<adversary::ChainStrategy>(plan);
-  }
   if (o.adversary == "omission") {
     return std::make_unique<adversary::RandomOmissionStrategy>(0.5, 0.3);
   }
@@ -642,12 +638,12 @@ int main(int argc, char** argv) {
     cfg.mode = protocol::ChannelMode::kAttested;
   }
 
-  auto plan = scenario::chain_plan(o.byz);
   sim::Testbed bed(cfg);
   SimDuration round_ms = cfg.effective_round();
-  auto strategies = [&](NodeId id) {
-    return make_strategy(o, id, plan, round_ms);
-  };
+  sim::Testbed::StrategyFactory strategies = scenario::chain(o.byz);
+  if (o.adversary != "chain") {
+    strategies = [&](NodeId id) { return make_strategy(o, id, round_ms); };
+  }
 
   Outcome out;
   if (o.protocol == "erb" || o.protocol == "erng" ||
